@@ -42,8 +42,9 @@
 #      checks, the batch gate runs even on 1-CPU machines: batching must
 #      win (or at worst tie) without any parallelism.
 #   9. Server front-door gate, run unconditionally: the server test suite
-#      (wire protocol, admission control, statement-cache sharing with
-#      exact forge accounting, concurrent differential, shutdown drain)
+#      (wire protocol, one write per request cycle, the latency floor, the
+#      seeded wire-frame fuzz, admission control, statement-cache sharing
+#      with exact forge accounting, concurrent differential, shutdown drain)
 #      under ASan/UBSan and under TSan, then bench_server --smoke from the
 #      plain build: an ephemeral-port server, 32 concurrent clients mixing
 #      simple and prepared execution of the TPC-H statement set, rows

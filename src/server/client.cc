@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <errno.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -35,6 +36,9 @@ Status ConnectTcp(const std::string& host, int port, int* out_fd) {
     ::close(fd);
     return s;
   }
+  // Requests are single writes; never let Nagle hold one back.
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   *out_fd = fd;
   return Status::OK();
 }

@@ -48,6 +48,35 @@ telemetry::Counter* SlowQueriesTotal() {
   return c;
 }
 
+telemetry::Counter* ResponseWritesTotal() {
+  static telemetry::Counter* c = telemetry::Registry::Global().GetCounter(
+      "microspec_server_response_writes_total");
+  return c;
+}
+
+telemetry::Counter* ResponseBytesTotal() {
+  static telemetry::Counter* c = telemetry::Registry::Global().GetCounter(
+      "microspec_server_response_bytes_total");
+  return c;
+}
+
+/// Sends one whole response with a single WriteAll: every wire reply the
+/// server makes goes through here, so the counters read one write per
+/// request cycle. Counted before the send, so a client that has read the
+/// reply always observes it in the counters.
+Status SendResponse(int fd, std::string_view response) {
+  ResponseWritesTotal()->Add(1);
+  ResponseBytesTotal()->Add(response.size());
+  return WriteAll(fd, response);
+}
+
+/// Encodes a lone frame and sends it as one response.
+Status SendFrame(int fd, char type, std::string_view payload) {
+  std::string out;
+  EncodeFrame(type, payload, &out);
+  return SendResponse(fd, out);
+}
+
 /// PostgreSQL-style completion tag for one executed statement.
 std::string CommandTag(const sqlfe::Statement& stmt,
                        const sqlfe::SqlResult& result) {
@@ -124,6 +153,10 @@ void Server::AcceptLoop() {
     if (pr <= 0) continue;
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    // Every reply is already one write; Nagle could only hold back its
+    // tail segment waiting for the client's delayed ACK.
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     const uint64_t accepted_ns = telemetry::NowNs();
 
     // Admission control: run now, wait for a slot, or bounce.
@@ -137,7 +170,7 @@ void Server::AcceptLoop() {
       }
     }
     if (!admitted) {
-      (void)WriteFrame(fd, kMsgError, "server busy: admission queue full");
+      (void)SendFrame(fd, kMsgError, "server busy: admission queue full");
       ::close(fd);
       continue;
     }
@@ -192,7 +225,7 @@ void Server::RunSession(int fd, uint64_t accepted_ns) {
   // If shutdown began while this session waited for a slot, bounce it
   // without reading — drain must not depend on client behavior.
   if (stop_.load(std::memory_order_acquire)) {
-    (void)WriteFrame(fd, kMsgError, "server shutting down");
+    (void)SendFrame(fd, kMsgError, "server shutting down");
   } else {
     // Sniff (without consuming) the first byte: 'G' selects the HTTP
     // /metrics path ('G' is not a client frame type), anything else is the
@@ -214,18 +247,23 @@ void Server::RunSession(int fd, uint64_t accepted_ns) {
       std::unique_ptr<ExecContext> ctx = db_->MakeContext();
       bool keep_going = true;
       while (keep_going && !stop_.load(std::memory_order_acquire)) {
+        // One request cycle, one write: the whole reply, through the
+        // trailing ReadyForQuery, goes out in a single send.
+        std::string out;
         Frame frame;
         Status s = ReadFrame(fd, options_.max_frame_bytes, &frame, &stop_);
-        if (!s.ok()) {
+        if (s.ok()) {
+          keep_going = HandleFrame(&out, ctx.get(), clock, frame, &prepared,
+                                   &bound);
+        } else {
+          keep_going = false;
           if (s.code() == StatusCode::kResourceExhausted) {
-            (void)WriteFrame(fd, kMsgError, "server shutting down");
+            EncodeFrame(kMsgError, "server shutting down", &out);
           } else if (s.code() == StatusCode::kInvalidArgument) {
-            (void)WriteFrame(fd, kMsgError, s.message());
+            EncodeFrame(kMsgError, s.message(), &out);
           }
-          break;
         }
-        keep_going = HandleFrame(fd, ctx.get(), clock, frame, &prepared,
-                                 &bound);
+        if (!out.empty() && !SendResponse(fd, out).ok()) break;
       }
       SessionsActive()->Add(-1);
     }
@@ -240,7 +278,8 @@ void Server::RunSession(int fd, uint64_t accepted_ns) {
 }
 
 bool Server::HandleFrame(
-    int fd, ExecContext* ctx, const SessionClock& clock, const Frame& frame,
+    std::string* out, ExecContext* ctx, const SessionClock& clock,
+    const Frame& frame,
     std::unordered_map<std::string, std::shared_ptr<const sqlfe::Statement>>*
         prepared,
     std::unordered_map<std::string, bool>* bound) {
@@ -254,12 +293,12 @@ bool Server::HandleFrame(
           stmt_cache_.GetOrParse(frame.payload, db_->ddl_epoch());
       const uint64_t parse_end = telemetry::NowNs();
       if (!stmt.ok()) {
-        (void)WriteFrame(fd, kMsgError, stmt.status().ToString());
+        EncodeFrame(kMsgError, stmt.status().ToString(), out);
       } else {
-        RunStatement(fd, ctx, clock, **stmt, &frame.payload, parse_start,
+        RunStatement(out, ctx, clock, **stmt, &frame.payload, parse_start,
                      parse_end);
       }
-      (void)WriteFrame(fd, kMsgReady, "I");
+      EncodeFrame(kMsgReady, "I", out);
       return true;
     }
     case kMsgParse: {
@@ -267,80 +306,79 @@ bool Server::HandleFrame(
       Status s = DecodeFields(frame.payload, &fields);
       if (!s.ok() || fields.size() != 2 || fields[0].is_null ||
           fields[1].is_null) {
-        (void)WriteFrame(fd, kMsgError, "malformed Parse message");
+        EncodeFrame(kMsgError, "malformed Parse message", out);
         return false;  // protocol error: drop the connection
       }
       Result<std::shared_ptr<const sqlfe::Statement>> stmt =
           stmt_cache_.GetOrParse(fields[1].text, db_->ddl_epoch());
       if (!stmt.ok()) {
-        (void)WriteFrame(fd, kMsgError, stmt.status().ToString());
+        EncodeFrame(kMsgError, stmt.status().ToString(), out);
         return true;
       }
       (*prepared)[fields[0].text] = stmt.MoveValue();
       bound->erase(fields[0].text);
-      (void)WriteFrame(fd, kMsgParseComplete, "");
+      EncodeFrame(kMsgParseComplete, "", out);
       return true;
     }
     case kMsgBind: {
       std::vector<Field> fields;
       Status s = DecodeFields(frame.payload, &fields);
       if (!s.ok() || fields.size() != 1 || fields[0].is_null) {
-        (void)WriteFrame(fd, kMsgError, "malformed Bind message");
+        EncodeFrame(kMsgError, "malformed Bind message", out);
         return false;
       }
       if (prepared->find(fields[0].text) == prepared->end()) {
-        (void)WriteFrame(fd, kMsgError,
-                         "unknown statement " + fields[0].text);
+        EncodeFrame(kMsgError, "unknown statement " + fields[0].text, out);
         return true;
       }
       (*bound)[fields[0].text] = true;
-      (void)WriteFrame(fd, kMsgBindComplete, "");
+      EncodeFrame(kMsgBindComplete, "", out);
       return true;
     }
     case kMsgExecute: {
       std::vector<Field> fields;
       Status s = DecodeFields(frame.payload, &fields);
       if (!s.ok() || fields.size() != 1 || fields[0].is_null) {
-        (void)WriteFrame(fd, kMsgError, "malformed Execute message");
+        EncodeFrame(kMsgError, "malformed Execute message", out);
         return false;
       }
       auto it = prepared->find(fields[0].text);
       if (it == prepared->end()) {
-        (void)WriteFrame(fd, kMsgError,
-                         "unknown statement " + fields[0].text);
+        EncodeFrame(kMsgError, "unknown statement " + fields[0].text, out);
       } else if (!(*bound)[fields[0].text]) {
-        (void)WriteFrame(fd, kMsgError,
-                         "statement " + fields[0].text + " not bound");
+        EncodeFrame(kMsgError, "statement " + fields[0].text + " not bound",
+                    out);
       } else {
-        RunStatement(fd, ctx, clock, *it->second, /*sql=*/nullptr,
+        RunStatement(out, ctx, clock, *it->second, /*sql=*/nullptr,
                      /*parse_start_ns=*/0, /*parse_end_ns=*/0);
       }
-      (void)WriteFrame(fd, kMsgReady, "I");
+      EncodeFrame(kMsgReady, "I", out);
       return true;
     }
     case kMsgCloseStmt: {
       std::vector<Field> fields;
       Status s = DecodeFields(frame.payload, &fields);
       if (!s.ok() || fields.size() != 1 || fields[0].is_null) {
-        (void)WriteFrame(fd, kMsgError, "malformed Close message");
+        EncodeFrame(kMsgError, "malformed Close message", out);
         return false;
       }
       prepared->erase(fields[0].text);
       bound->erase(fields[0].text);
-      (void)WriteFrame(fd, kMsgCloseComplete, "");
+      EncodeFrame(kMsgCloseComplete, "", out);
       return true;
     }
     case kMsgTerminate:
       return false;
     default:
-      (void)WriteFrame(
-          fd, kMsgError,
-          std::string("unknown message type '") + frame.type + "'");
+      EncodeFrame(kMsgError,
+                  std::string("unknown message type '") + frame.type + "'",
+                  out);
       return false;  // cannot trust the stream after an unknown frame
   }
 }
 
-void Server::RunStatement(int fd, ExecContext* ctx, const SessionClock& clock,
+void Server::RunStatement(std::string* out, ExecContext* ctx,
+                          const SessionClock& clock,
                           const sqlfe::Statement& stmt, const std::string* sql,
                           uint64_t parse_start_ns, uint64_t parse_end_ns) {
   const uint64_t t0 = telemetry::NowNs();
@@ -376,22 +414,19 @@ void Server::RunStatement(int fd, ExecContext* ctx, const SessionClock& clock,
   QueriesTotal()->Add(1);
   if (latency_ns >= db_->tracer()->slow_query_ns()) SlowQueriesTotal()->Add(1);
   if (!run.ok()) {
-    (void)WriteFrame(fd, kMsgError, run.status().ToString());
+    EncodeFrame(kMsgError, run.status().ToString(), out);
     return;
   }
   const sqlfe::SqlResult& result = *run;
-  // Batch the whole response into one write: fewer syscalls, and a row
-  // stream can never interleave with another session's frames (each session
-  // owns its fd, but small writes would still fragment badly under TCP).
-  std::string out;
+  // Appended to the frame's reply buffer; RunSession sends it, ReadyForQuery
+  // included, in one write once HandleFrame returns.
   if (!result.columns.empty()) {
-    EncodeFrame(kMsgRowDescription, EncodeStrings(result.columns), &out);
+    EncodeFrame(kMsgRowDescription, EncodeStrings(result.columns), out);
     for (const std::vector<std::string>& row : result.rows) {
-      EncodeFrame(kMsgDataRow, EncodeStrings(row), &out);
+      EncodeFrame(kMsgDataRow, EncodeStrings(row), out);
     }
   }
-  EncodeFrame(kMsgCommandComplete, CommandTag(stmt, result), &out);
-  (void)WriteAll(fd, out);
+  EncodeFrame(kMsgCommandComplete, CommandTag(stmt, result), out);
 }
 
 void Server::Shutdown() {

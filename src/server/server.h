@@ -56,6 +56,11 @@ struct ServerOptions {
 ///     statement's trace gets a session root span started at session start,
 ///     with the connection's admission-queue wait attributed under it, so
 ///     the exported tree connects session → statement → operators → bees;
+///   * every request cycle costs exactly one socket write: a frame's whole
+///     reply (T/D*/C/Z, E+Z, an ack, or a protocol error) is built in one
+///     buffer and sent at once, and accepted sockets run with TCP_NODELAY —
+///     a reply split over two writes would otherwise wait out Nagle's
+///     algorithm against the client's delayed ACK (~40 ms per statement);
 ///   * Shutdown() drains gracefully: stop accepting, abort idle sessions at
 ///     their next poll tick (in-flight statements finish and their results
 ///     are delivered first), wait until every session has exited, then
@@ -68,6 +73,9 @@ struct ServerOptions {
 ///   microspec_server_query_ns          histogram (per-statement latency)
 ///   microspec_server_admission_wait_ns histogram (accept -> session start)
 ///   microspec_server_slow_queries_total counter (over the slow threshold)
+///   microspec_server_response_writes_total counter (socket writes of
+///                                      replies: one per request cycle)
+///   microspec_server_response_bytes_total  counter (bytes in those writes)
 ///   microspec_stmt_cache_{hits,misses,evictions}_total  counters
 class Server {
  public:
@@ -104,19 +112,22 @@ class Server {
 
   void AcceptLoop();
   void RunSession(int fd, uint64_t accepted_ns);
-  /// One client request frame; returns false when the session should end.
-  bool HandleFrame(int fd, ExecContext* ctx, const SessionClock& clock,
-                   const Frame& frame,
+  /// One client request frame: appends the whole reply to `out` (which
+  /// RunSession sends in one write); returns false when the session should
+  /// end.
+  bool HandleFrame(std::string* out, ExecContext* ctx,
+                   const SessionClock& clock, const Frame& frame,
                    std::unordered_map<std::string,
                                       std::shared_ptr<const sqlfe::Statement>>*
                        prepared,
                    std::unordered_map<std::string, bool>* bound);
-  /// Executes one statement and streams T/D*/C frames (or an E frame).
-  /// `sql` and the parse window are optional (null/zero for prepared
+  /// Executes one statement and appends T/D*/C frames (or an E frame) to
+  /// `out`. `sql` and the parse window are optional (null/zero for prepared
   /// Execute, whose parse happened at Parse time).
-  void RunStatement(int fd, ExecContext* ctx, const SessionClock& clock,
-                    const sqlfe::Statement& stmt, const std::string* sql,
-                    uint64_t parse_start_ns, uint64_t parse_end_ns);
+  void RunStatement(std::string* out, ExecContext* ctx,
+                    const SessionClock& clock, const sqlfe::Statement& stmt,
+                    const std::string* sql, uint64_t parse_start_ns,
+                    uint64_t parse_end_ns);
   void ServeHttp(int fd);
 
   Database* db_;

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/macros.h"
@@ -117,7 +118,9 @@ Status DecodeFields(std::string_view payload, std::vector<Field>* out) {
   size_t pos = 0;
   uint16_t count = ReadU16(payload.data());
   pos += 2;
-  out->reserve(count);
+  // The count is untrusted: reserve no more fields than the payload can
+  // hold, since each needs at least its 4-byte length.
+  out->reserve(std::min<size_t>(count, (payload.size() - 2) / 4));
   for (uint16_t i = 0; i < count; ++i) {
     if (payload.size() - pos < 4) {
       return Status::InvalidArgument("truncated field length");

@@ -1,5 +1,6 @@
-// Server front door tests: wire-protocol round trips, malformed-frame
-// rejection, admission-control backpressure, the shared bee economy
+// Server front door tests: wire-protocol round trips, one socket write per
+// request cycle, the latency floor that write buys, malformed-frame
+// rejection, a seeded fuzz of hostile frames over live connections, admission-control backpressure, the shared bee economy
 // (K sessions preparing one statement => exactly one parse and one verified
 // bee specialization, with forge-trace accounting), statement-cache
 // eviction and DDL invalidation, the /metrics endpoint, and graceful
@@ -10,14 +11,27 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <errno.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/telemetry.h"
 #include "exec/batch.h"
 #include "exec/shared_bees.h"
@@ -123,6 +137,18 @@ TEST(Wire, DecodeRejectsMalformedPayloads) {
   std::string trailing = server::EncodeStrings({"abc"});
   trailing += "z";
   EXPECT_FALSE(server::DecodeFields(trailing, &out).ok());
+  // A hostile field count reserves no more than the payload can hold: two
+  // bytes declaring 65,535 fields reserve none, and three 4-byte lengths
+  // under the same count reserve at most three.
+  std::vector<Field> fresh;
+  EXPECT_FALSE(server::DecodeFields(std::string("\xFF\xFF", 2), &fresh).ok());
+  EXPECT_EQ(fresh.capacity(), 0u);
+  std::vector<Field> three;
+  EXPECT_FALSE(
+      server::DecodeFields(std::string("\xFF\xFF") + std::string(12, '\0'),
+                           &three)
+          .ok());
+  EXPECT_LE(three.capacity(), 3u);
 }
 
 TEST(Wire, FrameLayout) {
@@ -226,6 +252,474 @@ TEST(ServerProtocol, MalformedFramesCloseTheConnection) {
     EXPECT_EQ(e.type, server::kMsgError);
     EXPECT_FALSE(c.ReadOne().ok());
   }
+}
+
+uint64_t CounterValue(const char* name) {
+  return telemetry::Registry::Global().GetCounter(name)->Value();
+}
+
+TEST(ServerProtocol, OneWritePerRequestCycle) {
+  Harness h;
+  h.Start();
+  h.Seed();
+
+  Client c;
+  ASSERT_OK(c.Connect("127.0.0.1", h.srv->port()));
+  uint64_t writes = CounterValue("microspec_server_response_writes_total");
+  // Each client frame must have cost exactly one server write by the time
+  // its reply has been read (the server counts a write before issuing it).
+  auto expect_one_write = [&](const char* what) {
+    const uint64_t now =
+        CounterValue("microspec_server_response_writes_total");
+    EXPECT_EQ(now - writes, 1u) << what;
+    writes = now;
+  };
+
+  // A simple query's reply is T/D*/C/Z, byte for byte, in that one write.
+  const uint64_t bytes_before =
+      CounterValue("microspec_server_response_bytes_total");
+  ASSERT_OK_AND_ASSIGN(QueryResult r,
+                       c.Query("SELECT a, b FROM t WHERE a < 3 ORDER BY a"));
+  EXPECT_EQ(r.rows.size(), 3u);
+  expect_one_write("simple query");
+  std::string reply;
+  server::EncodeFrame(server::kMsgRowDescription,
+                      server::EncodeStrings({"a", "b"}), &reply);
+  for (const char* row : {"0", "1", "2"}) {
+    server::EncodeFrame(server::kMsgDataRow, server::EncodeStrings({row, row}),
+                        &reply);
+  }
+  server::EncodeFrame(server::kMsgCommandComplete, "SELECT 3", &reply);
+  server::EncodeFrame(server::kMsgReady, "I", &reply);
+  EXPECT_EQ(CounterValue("microspec_server_response_bytes_total") -
+                bytes_before,
+            reply.size());
+
+  // The prepared lifecycle: one write per ack, one per Execute.
+  ASSERT_OK(c.Parse("p", "SELECT count(*) AS n FROM t WHERE a > 49"));
+  expect_one_write("parse");
+  ASSERT_OK(c.Bind("p"));
+  expect_one_write("bind");
+  ASSERT_OK(c.Execute("p").status());
+  expect_one_write("execute");
+  ASSERT_OK(c.CloseStmt("p"));
+  expect_one_write("close");
+
+  // Errors answer E + Z in one write too: at execution, and at parse.
+  EXPECT_FALSE(c.Query("SELECT nope FROM t").ok());
+  expect_one_write("statement error");
+  EXPECT_FALSE(c.Query("SELEC a FRM t").ok());
+  expect_one_write("parse error");
+  EXPECT_FALSE(c.Execute("p").ok());  // closed above
+  expect_one_write("execute of an unknown statement");
+
+  // The session is intact after every error.
+  ASSERT_OK(c.Query("SELECT count(*) AS n FROM t").status());
+  expect_one_write("query after errors");
+  c.Terminate();
+}
+
+TEST(ServerProtocol, SequentialStatementsAvoidTheDelayedAckStall) {
+  Harness h;
+  h.Start();
+  h.Seed();
+
+  Client c;
+  ASSERT_OK(c.Connect("127.0.0.1", h.srv->port()));
+  const char* kSql = "SELECT a, b FROM t WHERE a < 3 ORDER BY a";
+  ASSERT_OK(c.Parse("p", "SELECT count(*) AS n FROM t WHERE a > 49"));
+  ASSERT_OK(c.Bind("p"));
+  // Warm the statement cache and the shared bees outside the timed loop.
+  ASSERT_OK(c.Query(kSql).status());
+  ASSERT_OK(c.Execute("p").status());
+
+  // A reply split over two writes waits ~40 ms for the client's delayed
+  // ACK, so 200 statements would take about 8 s; one write each stays far
+  // below 2 s even under the sanitizers.
+  constexpr int kStatements = 200;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kStatements; ++i) {
+    if (i % 2 == 0) {
+      ASSERT_OK_AND_ASSIGN(QueryResult r, c.Query(kSql));
+      ASSERT_EQ(r.rows.size(), 3u);
+    } else {
+      ASSERT_OK_AND_ASSIGN(QueryResult r, c.Execute("p"));
+      ASSERT_EQ(r.rows.size(), 1u);
+      ASSERT_EQ(r.rows[0][0], "50");
+    }
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 2.0) << kStatements << " statements took " << seconds
+                          << " s";
+  c.Terminate();
+}
+
+// --- Seeded wire-frame fuzz -------------------------------------------------
+// Thousands of mutated client frames over real TCP connections: truncated
+// headers, lengths of 0, of exactly max_frame_bytes and beyond it, bad field
+// counts and field lengths, unknown types, random byte flips, and valid
+// frames split across many tiny sends. Every session must answer with
+// well-formed frames and end (never hang, never abort the process);
+// afterwards a well-behaved client still gets the library path's rows and
+// the sessions-active gauge is back at zero. Deterministic, in the
+// bee/mutation_fuzz idiom (a seeded RNG, no libFuzzer): the seed is
+// printed, and MICROSPEC_SEED=<n> replays a run.
+
+constexpr uint64_t kDefaultSeed = 0x5EEDF00Dull;
+constexpr int kConnections = 1500;
+/// Small enough that the at-the-limit frames stay cheap to send.
+constexpr size_t kMaxFrameBytes = 64 << 10;
+constexpr int kSessionTimeoutMs = 30000;
+
+const char* kSelects[] = {
+    "SELECT a, b FROM t WHERE a < 5 ORDER BY a",
+    "SELECT count(*) AS n FROM t WHERE b = 3",
+    "SELECT b, sum(a) AS s FROM t GROUP BY b ORDER BY b",
+};
+constexpr size_t kNumSelects = sizeof(kSelects) / sizeof(kSelects[0]);
+
+const char kClientTypes[] = {'Q', 'P', 'B', 'E', 'C', 'X'};
+
+uint64_t PickSeed() {
+  const char* env = std::getenv("MICROSPEC_SEED");
+  if (env != nullptr && std::strtoull(env, nullptr, 0) > 0) {
+    return std::strtoull(env, nullptr, 0);
+  }
+  return kDefaultSeed;
+}
+
+std::string U32(uint32_t v) {
+  std::string b(4, '\0');
+  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  return b;
+}
+
+std::string RandomBytes(Rng* rng, size_t n) {
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng->Uniform(256));
+  return out;
+}
+
+/// A well-formed client frame over the SELECT corpus and a few statement
+/// names (Bind/Execute/Close of an unprepared name is legal and answers E).
+std::string ValidFrame(Rng* rng) {
+  const std::string name = "s" + std::to_string(rng->Uniform(3));
+  const char* sql = kSelects[rng->Uniform(kNumSelects)];
+  std::string out;
+  switch (rng->Uniform(6)) {
+    case 0:
+      server::EncodeFrame(server::kMsgSimpleQuery, sql, &out);
+      break;
+    case 1:
+      server::EncodeFrame(server::kMsgParse, server::EncodeStrings({name, sql}),
+                          &out);
+      break;
+    case 2:
+      server::EncodeFrame(server::kMsgBind, server::EncodeStrings({name}), &out);
+      break;
+    case 3:
+      server::EncodeFrame(server::kMsgExecute, server::EncodeStrings({name}),
+                          &out);
+      break;
+    case 4:
+      server::EncodeFrame(server::kMsgCloseStmt, server::EncodeStrings({name}),
+                          &out);
+      break;
+    default:
+      // Rare on purpose: Terminate ends the session early.
+      server::EncodeFrame(rng->Uniform(4) == 0 ? server::kMsgTerminate
+                                               : server::kMsgSimpleQuery,
+                          sql, &out);
+      break;
+  }
+  return out;
+}
+
+/// One connection's script: the byte chunks to send, each in its own
+/// send() call.
+struct Script {
+  std::vector<std::string> chunks;
+  int frames = 0;
+};
+
+/// Appends one (possibly mutated) frame. Returns false when the mutation
+/// leaves the stream unparseable (nothing after it can be framed), so the
+/// script should end.
+bool AppendFrame(Rng* rng, Script* script) {
+  std::string frame = ValidFrame(rng);
+  ++script->frames;
+  switch (rng->Uniform(11)) {
+    case 0:  // valid, sent whole
+      script->chunks.push_back(frame);
+      return true;
+    case 1: {  // valid, split across many tiny sends
+      for (size_t pos = 0; pos < frame.size();) {
+        const size_t n = std::min<size_t>(1 + rng->Uniform(3),
+                                          frame.size() - pos);
+        script->chunks.push_back(frame.substr(pos, n));
+        pos += n;
+      }
+      return true;
+    }
+    case 2:  // truncated header, then end of stream
+      script->chunks.push_back(frame.substr(0, 1 + rng->Uniform(4)));
+      return false;
+    case 3: {  // zero-length payload under any client type
+      std::string f(1, kClientTypes[rng->Uniform(sizeof(kClientTypes))]);
+      script->chunks.push_back(f + U32(0));
+      return true;
+    }
+    case 4: {  // exactly max_frame_bytes of payload, all of it sent
+      std::string f(1, kClientTypes[rng->Uniform(sizeof(kClientTypes) - 1)]);
+      script->chunks.push_back(f + U32(kMaxFrameBytes) +
+                               RandomBytes(rng, kMaxFrameBytes));
+      return true;
+    }
+    case 5: {  // declared length beyond max_frame_bytes
+      const uint32_t lens[] = {static_cast<uint32_t>(kMaxFrameBytes) + 1,
+                               1u << 31, 0xFFFFFFFFu};
+      script->chunks.push_back(frame.substr(0, 1) + U32(lens[rng->Uniform(3)]));
+      return false;
+    }
+    case 6:  // payload shorter than its declared length, then end of stream
+      script->chunks.push_back(
+          frame.substr(0, 5 + rng->Uniform(frame.size() - 5)));
+      return false;
+    case 7: {  // bad field count in a structured payload
+      std::string f(1, kClientTypes[1 + rng->Uniform(4)]);  // P/B/E/C
+      std::string payload = server::EncodeStrings({"s0", kSelects[0]});
+      const uint16_t count = static_cast<uint16_t>(rng->Uniform(65536));
+      payload[0] = static_cast<char>(count & 0xFF);
+      payload[1] = static_cast<char>(count >> 8);
+      script->chunks.push_back(f + U32(static_cast<uint32_t>(payload.size())) +
+                               payload);
+      return true;
+    }
+    case 8: {  // bad field length (huge, NULL sentinel, or off by a little)
+      std::string f(1, kClientTypes[1 + rng->Uniform(4)]);
+      std::string payload = server::EncodeStrings({"s1"});
+      const uint32_t lens[] = {0xFFFFFFFFu, 0x7FFFFFFFu, 1, 3,
+                               static_cast<uint32_t>(rng->Uniform(1 << 20))};
+      payload.replace(2, 4, U32(lens[rng->Uniform(5)]));
+      script->chunks.push_back(f + U32(static_cast<uint32_t>(payload.size())) +
+                               payload);
+      return true;
+    }
+    case 9: {  // unknown type byte (G at stream start selects HTTP)
+      char type;
+      do {
+        type = static_cast<char>(rng->Uniform(256));
+      } while (std::memchr(kClientTypes, type, sizeof(kClientTypes)) !=
+               nullptr);
+      frame[0] = type;
+      script->chunks.push_back(frame);
+      return true;
+    }
+    default: {  // one to three random byte flips anywhere in the frame
+      const int flips = 1 + static_cast<int>(rng->Uniform(3));
+      for (int i = 0; i < flips; ++i) {
+        frame[rng->Uniform(frame.size())] ^=
+            static_cast<char>(1 + rng->Uniform(255));
+      }
+      script->chunks.push_back(frame);
+      // A flipped length byte may leave the server waiting for bytes that
+      // never come; end the stream so the session sees EOF.
+      return false;
+    }
+  }
+}
+
+Script MakeScript(Rng* rng) {
+  Script script;
+  const int frames = 1 + static_cast<int>(rng->Uniform(4));
+  for (int i = 0; i < frames; ++i) {
+    if (!AppendFrame(rng, &script)) break;
+  }
+  return script;
+}
+
+/// A raw client socket: sends arbitrary bytes, half-closes, and reads the
+/// server's answer until EOF.
+class RawConn {
+ public:
+  ~RawConn() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  bool Connect(int port) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd_ < 0) return false;
+    // Tiny sends leave as tiny segments.
+    int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    struct sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(port));
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    return ::connect(fd_, reinterpret_cast<struct sockaddr*>(&addr),
+                     sizeof(addr)) == 0;
+  }
+
+  /// False once the server has closed its end (EPIPE / ECONNRESET).
+  bool Send(std::string_view bytes) {
+    return server::WriteAll(fd_, bytes).ok();
+  }
+
+  void CloseWrite() { ::shutdown(fd_, SHUT_WR); }
+
+  /// Reads until EOF or reset. Returns false only on timeout: a session
+  /// that neither answers nor ends.
+  bool ReadToEnd(std::string* out, bool* reset) {
+    *reset = false;
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(kSessionTimeoutMs);
+    char buf[16384];
+    for (;;) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      struct pollfd pfd;
+      pfd.fd = fd_;
+      pfd.events = POLLIN;
+      if (::poll(&pfd, 1, /*timeout_ms=*/100) <= 0) continue;
+      ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
+      if (r == 0) return true;
+      if (r < 0) {
+        if (errno == EINTR) continue;
+        // The server closed with our bytes unread, so the kernel reset the
+        // connection; part of the answer may be lost with it.
+        *reset = true;
+        return true;
+      }
+      out->append(buf, static_cast<size_t>(r));
+    }
+  }
+
+ private:
+  int fd_ = -1;
+};
+
+/// Checks that `bytes` is a sequence of server frames of known types; a
+/// trailing partial frame is allowed only after a reset. Counts the error
+/// frames into `*errors`.
+::testing::AssertionResult WellFormedReply(const std::string& bytes,
+                                           bool reset, int* errors) {
+  static const char kServerTypes[] = {'T', 'D', 'C', 'E', 'Z', '1', '2', '3'};
+  size_t pos = 0;
+  while (pos < bytes.size()) {
+    if (bytes.size() - pos < 5) break;
+    const char type = bytes[pos];
+    if (std::memchr(kServerTypes, type, sizeof(kServerTypes)) == nullptr) {
+      return ::testing::AssertionFailure()
+             << "unknown server frame type " << static_cast<int>(type)
+             << " at byte " << pos;
+    }
+    uint32_t len = 0;
+    for (int i = 0; i < 4; ++i) {
+      len |= static_cast<uint32_t>(static_cast<unsigned char>(
+                 bytes[pos + 1 + static_cast<size_t>(i)]))
+             << (8 * i);
+    }
+    if (bytes.size() - pos - 5 < len) break;
+    if (type == server::kMsgError) ++*errors;
+    pos += 5 + len;
+  }
+  if (pos != bytes.size() && !reset) {
+    return ::testing::AssertionFailure()
+           << "truncated server frame at byte " << pos << " of "
+           << bytes.size();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::vector<std::vector<std::string>> Sorted(
+    std::vector<std::vector<std::string>> rows) {
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(WireFuzz, HostileFramesNeverBreakTheServer) {
+  const uint64_t seed = PickSeed();
+  std::printf("[ wire fuzz seed: %llu — replay with MICROSPEC_SEED=%llu ]\n",
+              static_cast<unsigned long long>(seed),
+              static_cast<unsigned long long>(seed));
+
+  Harness h;
+  ServerOptions sopts;
+  sopts.max_frame_bytes = kMaxFrameBytes;
+  h.Start(sopts);
+  h.Seed();
+  std::vector<std::vector<std::vector<std::string>>> expected;
+  {
+    auto ctx = h.db->MakeContext();
+    for (const char* sql : kSelects) {
+      auto r = sqlfe::ExecuteSql(h.db.get(), ctx.get(), sql);
+      ASSERT_OK(r.status());
+      expected.push_back(Sorted(r->rows));
+    }
+  }
+
+  Rng rng(seed);
+  int frames = 0;
+  int errors = 0;
+  int resets = 0;
+  for (int conn = 0; conn < kConnections; ++conn) {
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", connection " +
+                 std::to_string(conn));
+    const Script script = MakeScript(&rng);
+    frames += script.frames;
+    RawConn c;
+    ASSERT_TRUE(c.Connect(h.srv->port()));
+    for (const std::string& chunk : script.chunks) {
+      if (!c.Send(chunk)) break;
+    }
+    c.CloseWrite();
+    std::string reply;
+    bool reset = false;
+    ASSERT_TRUE(c.ReadToEnd(&reply, &reset))
+        << "session neither answered nor ended";
+    resets += reset ? 1 : 0;
+    if (script.chunks.front()[0] == 'G') {
+      // 'G' first selects the HTTP endpoint; garbage gets a 404.
+      EXPECT_TRUE(reply.rfind("HTTP/1.1 ", 0) == 0 || (reset && reply.empty()))
+          << reply.substr(0, 64);
+    } else {
+      EXPECT_TRUE(WellFormedReply(reply, reset, &errors));
+    }
+  }
+  std::printf("[ %d connections, %d frames, %d error replies, %d resets ]\n",
+              kConnections, frames, errors, resets);
+  EXPECT_GE(frames, 2000);
+
+  // Every fuzzed session has ended...
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (h.srv->sessions_in_system() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(h.srv->sessions_in_system(), 0);
+  auto snap = h.db->SnapshotTelemetry();
+  const telemetry::Sample* gauge =
+      snap.Find("microspec_server_sessions_active");
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_EQ(gauge->value, 0.0);
+
+  // ...and a well-behaved client still gets the library path's rows, by
+  // simple query and by prepared execution.
+  Client c;
+  ASSERT_OK(c.Connect("127.0.0.1", h.srv->port()));
+  for (size_t q = 0; q < kNumSelects; ++q) {
+    ASSERT_OK_AND_ASSIGN(QueryResult simple, c.Query(kSelects[q]));
+    EXPECT_EQ(Sorted(simple.rows), expected[q]) << kSelects[q];
+    const std::string name = "ok" + std::to_string(q);
+    ASSERT_OK(c.Parse(name, kSelects[q]));
+    ASSERT_OK(c.Bind(name));
+    ASSERT_OK_AND_ASSIGN(QueryResult prepared, c.Execute(name));
+    EXPECT_EQ(Sorted(prepared.rows), expected[q]) << kSelects[q];
+  }
+  c.Terminate();
 }
 
 // --- Admission control ------------------------------------------------------
