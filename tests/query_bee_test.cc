@@ -44,10 +44,16 @@ Schema MixedSchema() {
 }
 
 /// Parameter sweep over every comparison operator and operand class.
+/// gtest prints the parameter's raw bytes into the test name, so the
+/// padding between `op` and `col` is an explicit zeroed member: left
+/// implicit, it holds stack garbage and the name changes from run to run.
 struct EvpCase {
+  constexpr EvpCase(CmpOp o, int c) : op(o), col(c) {}
   CmpOp op;
+  uint8_t pad[3] = {};
   int col;
 };
+static_assert(sizeof(EvpCase) == 8, "EvpCase must have no implicit padding");
 
 class EvpCmpTest : public ::testing::TestWithParam<EvpCase> {};
 
