@@ -248,15 +248,10 @@ void Run(int argc, char** argv) {
   std::printf(
       "\n(async serves first results from the program tier while the forge\n"
       " compiles; sync pays the compiler inside CREATE TABLE)\n");
-  // Every compile above left a timestamped event in the global forge trace;
-  // ship it (and the registry metrics) with the JSON report.
+  // Ship the registry metrics (forge counters and compile histograms) with
+  // the JSON report.
   telemetry::TelemetrySnapshot snap;
   telemetry::Registry::Global().FillSnapshot(&snap);
-  std::printf("forge events traced: %zu (ring) / %llu (total)\n",
-              snap.forge_events.size(),
-              static_cast<unsigned long long>(
-                  telemetry::Registry::Global().forge_trace()
-                      ->total_recorded()));
   report.AttachTelemetry(snap);
   report.WriteIfRequested(argc, argv);
 }

@@ -3,19 +3,17 @@
 // Paper: improvements of 1.4%..32.8%, Avg1 12.4% (per-query mean),
 // Avg2 23.7% (total-time ratio).
 //
-// With --telemetry-gate it instead verifies that the telemetry substrate
-// costs nothing when off: the full query suite is timed with instrumentation
-// off and on (interleaved), and the run fails if the OFF path is more than
-// MICROSPEC_GATE_TOL_PCT (default 2) percent slower than the ON path — i.e.
-// if turning instrumentation OFF somehow fails to be at least as fast.
+// With --trace-gate it instead verifies that instrumentation costs nothing
+// when off: the full query suite is timed with telemetry off and on, then
+// with tracing off and on (full per-query span trees and column sketches),
+// each pair interleaved, and the run fails if either OFF path is more than
+// MICROSPEC_GATE_TOL_PCT (default 2) percent slower than its ON path.
 // Retried a few times to damp scheduler noise; wired into scripts/check.sh.
-// --trace-gate applies the same discipline to span tracing and workload
-// stats: the untraced path must be no slower than a run with full per-query
-// span trees and column sketches collected.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 
 #include "bench_util.h"
@@ -168,7 +166,7 @@ void RunBatchSweep(int argc, char** argv) {
 
   auto warm_scan = [&](int batch_rows) {
     auto ctx = bee->MakeContext();
-    ctx->set_batch(batch_rows, 4);
+    ctx->set_batch(batch_rows);
     Plan plan = Plan::Scan(ctx.get(), lineitem);
     plan.GroupBy({}, AggList(Ag(AggSpec::CountStar(), "n"),
                              Ag(AggSpec::Sum(plan.var("l_extendedprice")),
@@ -240,7 +238,7 @@ void RunBatchSweep(int argc, char** argv) {
 /// --batch-gate: fails (exit 1) if the batched (full-page) warm scan is
 /// consistently slower than the scalar row-at-a-time pipeline on the same
 /// build — batching must never cost throughput. Interleaved and retried
-/// like the telemetry gate; wired into scripts/check.sh.
+/// like the trace gate; wired into scripts/check.sh.
 int RunBatchGate() {
   BenchEnv env;
   benchutil::PrintHeader(
@@ -258,7 +256,7 @@ int RunBatchGate() {
 
   auto warm_scan = [&](int batch_rows) {
     auto ctx = bee->MakeContext();
-    ctx->set_batch(batch_rows, 4);
+    ctx->set_batch(batch_rows);
     Plan plan = Plan::Scan(ctx.get(), lineitem);
     plan.GroupBy({}, AggList(Ag(AggSpec::CountStar(), "n"),
                              Ag(AggSpec::Sum(plan.var("l_extendedprice")),
@@ -290,72 +288,23 @@ int RunBatchGate() {
   return 1;
 }
 
-/// --telemetry-gate: fails (exit 1) if the instrumentation-OFF path is
-/// measurably slower than the ON path — which would mean the "zero-overhead
-/// when off" claim regressed. The comparison is interleaved (off,on,off,on)
-/// and retried up to three attempts; one pass is enough, since a real
-/// always-on cost would fail every attempt.
-int RunTelemetryGate() {
-  BenchEnv env;
-  benchutil::PrintHeader("Telemetry gate: instrumentation-off must stay free",
-                         env);
-  auto db = benchutil::MakeTpchDb(env, "gate", true, true);
-
-  double tol_pct = 2.0;
-  const char* tol_env = std::getenv("MICROSPEC_GATE_TOL_PCT");
-  if (tol_env != nullptr && std::atof(tol_env) > 0) {
-    tol_pct = std::atof(tol_env);
-  }
-
-  auto run_all = [&] {
-    for (int q = 1; q <= tpch::kNumTpchQueries; ++q) {
-      RunTpchQuery(db.get(), SessionOptions::AllBees(), q);
-    }
-  };
-  run_all();  // warm
-
-  for (int attempt = 1; attempt <= 3; ++attempt) {
-    double t_off = 0;
-    double t_on = 0;
-    benchutil::PaperMeanPair(
-        env.reps,
-        [&] {
-          telemetry::SetEnabled(false);
-          run_all();
-        },
-        [&] {
-          telemetry::SetEnabled(true);
-          run_all();
-        },
-        &t_off, &t_on);
-    telemetry::SetEnabled(false);
-    double delta_pct = (t_off - t_on) / t_on * 100.0;
-    std::printf("attempt %d: off %.2f ms, on %.2f ms (off-on delta %+.2f%%, "
-                "tolerance %.1f%%)\n",
-                attempt, t_off * 1e3, t_on * 1e3, delta_pct, tol_pct);
-    if (t_off <= t_on * (1.0 + tol_pct / 100.0)) {
-      std::printf("telemetry gate PASS\n");
-      return 0;
-    }
-  }
-  std::printf("telemetry gate FAIL: instrumentation-off path is consistently "
-              "slower than instrumentation-on\n");
-  return 1;
-}
-
-/// --trace-gate: fails (exit 1) if span tracing costs anything while off.
-/// The OFF side is the stock bench path (trace_sample_n = 0: null
-/// TraceContext, no stats feedback — exactly what every figure harness
-/// runs); the ON side runs the same query suite with a forced trace
-/// installed on every query context plus workload-stats collection, i.e.
-/// full per-query span trees and per-column sketches. OFF must not be
-/// slower than ON: tracing's off-path residue is one null test on
-/// per-query paths and one thread-local load on stall paths, and this gate
-/// is where that contract is enforced. Interleaved and retried like the
-/// telemetry gate; wired into scripts/check.sh.
+/// --trace-gate: fails (exit 1) if an instrument costs anything while off.
+/// Each instrument's off path is timed against its own on path:
+///   * telemetry: the suite with telemetry::SetEnabled(false) vs (true);
+///   * tracing: the stock bench path (trace_sample_n = 0: null
+///     TraceContext, no stats feedback — exactly what every figure harness
+///     runs) vs the same suite with a forced trace installed on every query
+///     context plus workload-stats collection, i.e. full per-query span
+///     trees and per-column sketches.
+/// OFF must not be slower than ON by more than MICROSPEC_GATE_TOL_PCT
+/// (default 2) percent: tracing's off-path residue is one null test on
+/// per-query paths and one thread-local load on stall paths. Each check is
+/// interleaved (off,on,off,on) and gets up to three attempts — a real
+/// always-on cost fails every attempt. Wired into scripts/check.sh.
 int RunTraceGate() {
   BenchEnv env;
-  benchutil::PrintHeader("Trace gate: sampling-off must stay free", env);
+  benchutil::PrintHeader("Trace gate: telemetry-off and sampling-off must "
+                         "stay free", env);
   auto db = benchutil::MakeTpchDb(env, "gate", true, true);
 
   double tol_pct = 2.0;
@@ -390,34 +339,53 @@ int RunTraceGate() {
       db->tracer()->Publish(std::move(tr));
     }
   };
+  struct Check {
+    const char* instrument;
+    std::function<void()> off;
+    std::function<void()> on;
+  };
+  const Check checks[] = {
+      {"telemetry",
+       [&] {
+         telemetry::SetEnabled(false);
+         run_off();
+       },
+       [&] {
+         telemetry::SetEnabled(true);
+         run_off();
+       }},
+      {"trace", run_off, run_traced},
+  };
   run_off();     // warm the cache
   run_traced();  // and the traced path's allocations
 
-  for (int attempt = 1; attempt <= 3; ++attempt) {
-    double t_off = 0;
-    double t_on = 0;
-    benchutil::PaperMeanPair(env.reps, run_off, run_traced, &t_off, &t_on);
-    double delta_pct = t_on > 0 ? (t_off - t_on) / t_on * 100.0 : 0;
-    std::printf("attempt %d: off %.2f ms, traced %.2f ms (off-traced delta "
-                "%+.2f%%, tolerance %.1f%%)\n",
-                attempt, t_off * 1e3, t_on * 1e3, delta_pct, tol_pct);
-    if (t_off <= t_on * (1.0 + tol_pct / 100.0)) {
-      std::printf("trace gate PASS\n");
-      return 0;
+  bool pass = true;
+  for (const Check& check : checks) {
+    bool ok = false;
+    for (int attempt = 1; attempt <= 3 && !ok; ++attempt) {
+      double t_off = 0;
+      double t_on = 0;
+      benchutil::PaperMeanPair(env.reps, check.off, check.on, &t_off, &t_on);
+      telemetry::SetEnabled(false);
+      double delta_pct = t_on > 0 ? (t_off - t_on) / t_on * 100.0 : 0;
+      std::printf("%s attempt %d: off %.2f ms, on %.2f ms (off-on delta "
+                  "%+.2f%%, tolerance %.1f%%)\n",
+                  check.instrument, attempt, t_off * 1e3, t_on * 1e3,
+                  delta_pct, tol_pct);
+      ok = t_off <= t_on * (1.0 + tol_pct / 100.0);
     }
+    std::printf("%s gate %s\n", check.instrument,
+                ok ? "PASS"
+                   : "FAIL: the off path is consistently slower than on");
+    pass = pass && ok;
   }
-  std::printf("trace gate FAIL: the tracing-off path is consistently slower "
-              "than full span tracing\n");
-  return 1;
+  return pass ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace microspec
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--telemetry-gate") == 0) {
-    return microspec::RunTelemetryGate();
-  }
   if (argc > 1 && std::strcmp(argv[1], "--trace-gate") == 0) {
     return microspec::RunTraceGate();
   }

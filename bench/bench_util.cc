@@ -169,29 +169,6 @@ double Median(std::vector<double> samples) {
   return (samples[mid - 1] + samples[mid]) / 2.0;
 }
 
-namespace {
-
-/// Minimal JSON string escaping; metric/config names are library-chosen but
-/// a path or description could carry quotes or backslashes.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 BenchReport::BenchReport(std::string bench_name, const BenchEnv& env)
     : name_(std::move(bench_name)),
       sf_(env.sf),
@@ -210,7 +187,7 @@ void BenchReport::AttachTelemetry(const telemetry::TelemetrySnapshot& snap) {
 
 Status BenchReport::WriteJson(const std::string& path) const {
   std::string out = "{\n";
-  out += "  \"bench\": \"" + JsonEscape(name_) + "\",\n";
+  out += "  \"bench\": \"" + telemetry::Escape(name_) + "\",\n";
   out += "  \"scale_factor\": " + std::to_string(sf_) + ",\n";
   out += "  \"reps\": " + std::to_string(reps_) + ",\n";
   out += "  \"backend\": \"" + backend_ + "\",\n";
@@ -218,8 +195,8 @@ Status BenchReport::WriteJson(const std::string& path) const {
   for (size_t i = 0; i < entries_.size(); ++i) {
     char value[64];
     std::snprintf(value, sizeof(value), "%.9g", entries_[i].value);
-    out += "    {\"config\": \"" + JsonEscape(entries_[i].config) +
-           "\", \"metric\": \"" + JsonEscape(entries_[i].metric) +
+    out += "    {\"config\": \"" + telemetry::Escape(entries_[i].config) +
+           "\", \"metric\": \"" + telemetry::Escape(entries_[i].metric) +
            "\", \"value\": " + value + "}";
     out += i + 1 < entries_.size() ? ",\n" : "\n";
   }

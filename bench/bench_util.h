@@ -95,7 +95,7 @@ class BenchReport {
            double value);
 
   /// Embeds a telemetry snapshot (tier counts, histogram percentiles, io
-  /// stats, forge events) in the report; the JSON gains a "telemetry" key
+  /// stats, forge counters) in the report; the JSON gains a "telemetry" key
   /// holding the snapshot's own JSON tree.
   void AttachTelemetry(const telemetry::TelemetrySnapshot& snap);
 

@@ -21,8 +21,8 @@
 //
 // With --metrics it runs a short TPC-H workload on a bee-enabled database
 // with full instrumentation and prints the unified telemetry snapshot: a
-// per-relation tier table, forge event trace, and the full Prometheus text
-// exposition.
+// per-relation tier table, the background lane's span tree (forge and
+// shared-cache lifecycle events), and the full Prometheus text exposition.
 //
 //   ./build/examples/example_bee_inspector --metrics
 //
@@ -44,8 +44,8 @@
 //
 // With --slow it runs the same workload with the slow-query threshold at
 // zero so every statement qualifies, and prints the slow-query log: per-
-// phase latency breakdown plus the auto-attached EXPLAIN ANALYZE tree of
-// the slowest statement.
+// phase latency breakdown read from each entry's trace, plus the span tree
+// of the slowest statement.
 //
 //   ./build/examples/example_bee_inspector --slow
 
@@ -172,7 +172,7 @@ std::string TierTable(Database* db) {
 }
 
 /// --metrics: runs a short instrumented TPC-H workload and prints the
-/// unified telemetry view — tier table, forge event trace, Prometheus text.
+/// unified telemetry view — tier table, background lane, Prometheus text.
 int RunMetricsMode() {
   telemetry::SetEnabled(true);
   std::string dir = "/tmp/microspec_inspector_metrics";
@@ -203,7 +203,7 @@ int RunMetricsMode() {
   // numbers.
   for (TableInfo* t : db->catalog()->AllTables()) {
     auto ctx = db->MakeContext();
-    ctx->set_batch(kMaxTuplesPerPage, 4);
+    ctx->set_batch(kMaxTuplesPerPage);
     SeqScan s(ctx.get(), t);
     MICROSPEC_CHECK(s.Init().ok());
     RowBatch batch(static_cast<int>(s.output_meta().size()),
@@ -220,17 +220,10 @@ int RunMetricsMode() {
 
   telemetry::TelemetrySnapshot snap = db->SnapshotTelemetry();
 
-  std::printf("\n=== forge event trace ===\n\n");
-  telemetry::TextTable events;
-  events.Header({"seq", "event", "relation", "duration(ms)", "detail"});
-  for (const telemetry::ForgeEvent& ev : snap.forge_events) {
-    char dur[32];
-    std::snprintf(dur, sizeof(dur), "%.2f",
-                  static_cast<double>(ev.duration_ns) / 1e6);
-    events.Row({std::to_string(ev.seq), telemetry::ForgeEventKindName(ev.kind),
-                ev.relation, ev.duration_ns == 0 ? "" : dur, ev.detail});
+  std::printf("\n=== background lane ===\n");
+  for (const auto& t : trace::Tracer::Background().Recent()) {
+    std::printf("\n%s", trace::RenderTraceTree(*t).c_str());
   }
-  std::printf("%s", events.ToString().c_str());
 
   std::printf("\n=== prometheus exposition ===\n\n%s",
               snap.ToPrometheusText().c_str());
@@ -276,7 +269,7 @@ int RunForgeMode() {
   // counters in the table below are live numbers, not dashes.
   for (TableInfo* t : db->catalog()->AllTables()) {
     auto ctx = db->MakeContext();
-    ctx->set_batch(kMaxTuplesPerPage, 4);
+    ctx->set_batch(kMaxTuplesPerPage);
     SeqScan s(ctx.get(), t);
     MICROSPEC_CHECK(s.Init().ok());
     RowBatch batch(static_cast<int>(s.output_meta().size()),
@@ -386,8 +379,8 @@ int RunTraceMode(int argc, char** argv) {
 }
 
 /// --slow: the slow-query log with a zero threshold, so every statement of
-/// the workload lands in it with its per-phase breakdown and EXPLAIN
-/// ANALYZE tree.
+/// the workload lands in it; phases and operators come from the referenced
+/// traces.
 int RunSlowMode() {
   std::unique_ptr<Database> db = RunTracedTpchWorkload(/*slow_query_ns=*/0);
   std::vector<trace::SlowQuery> log = db->tracer()->SlowLog();
@@ -403,15 +396,19 @@ int RunSlowMode() {
   };
   const trace::SlowQuery* slowest = nullptr;
   for (const trace::SlowQuery& q : log) {
-    table.Row({std::to_string(q.trace_id), ms(q.total_ns), ms(q.parse_ns),
-               ms(q.plan_ns), ms(q.exec_ns),
-               q.sql.size() > 48 ? q.sql.substr(0, 45) + "..." : q.sql});
+    const trace::Trace& t = *q.trace;
+    const std::string sql = t.sql();
+    table.Row({std::to_string(t.trace_id()), ms(q.total_ns),
+               ms(t.TotalNs(trace::SpanKind::kParse)),
+               ms(t.TotalNs(trace::SpanKind::kPlan)),
+               ms(t.TotalNs(trace::SpanKind::kExec)),
+               sql.size() > 48 ? sql.substr(0, 45) + "..." : sql});
     if (slowest == nullptr || q.total_ns > slowest->total_ns) slowest = &q;
   }
   std::printf("%s", table.ToString().c_str());
-  if (slowest != nullptr && !slowest->analyze.empty()) {
-    std::printf("\n--- EXPLAIN ANALYZE of the slowest statement ---\n%s\n%s\n",
-                slowest->sql.c_str(), slowest->analyze.c_str());
+  if (slowest != nullptr) {
+    std::printf("\n--- span tree of the slowest statement ---\n%s",
+                trace::RenderTraceTree(*slowest->trace).c_str());
   }
   return log.empty() ? 1 : 0;
 }

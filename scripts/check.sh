@@ -17,23 +17,19 @@
 #      generates thousands of catalog-inconsistent single-step mutants
 #      across every verification family (GCL, SCL, EVP, EVJ, and both
 #      native-source lints) and fails if any mutant escapes.
-#   5. Telemetry-overhead gate: bench_tpch_warm --telemetry-gate times the
-#      TPC-H suite with instrumentation off and on (interleaved) and fails
-#      if the off path is measurably slower — i.e. if the "zero overhead
-#      when disabled" property regressed. Tiny scale factor, so it's fast.
-#   6. With SANITIZE=1, rebuild with -DMICROSPEC_SANITIZE="address;undefined"
+#   5. With SANITIZE=1, rebuild with -DMICROSPEC_SANITIZE="address;undefined"
 #      and run the suite again under the sanitizers. With SANITIZE=thread,
 #      rebuild with -DMICROSPEC_SANITIZE=thread instead (TSan cannot share a
 #      build with ASan). Run both modes for full coverage. The telemetry
 #      concurrency tests (sharded counters/histograms + snapshot readers)
 #      are part of the suite, so TSan covers the lock-free paths.
-#   7. Parallel-execution sanitizer gate, run unconditionally: targeted
+#   6. Parallel-execution sanitizer gate, run unconditionally: targeted
 #      sanitizer builds of the morsel-driven executor's standalone tests —
 #      the TPC-H differential test under ASan/UBSan and under TSan, and the
 #      forge stress test under TSan. These are the binaries whose whole
 #      point is racing workers against each other and against the forge, so
 #      they never ship without sanitizer coverage, even on plain runs.
-#   8. Batch-execution gate, run unconditionally: the batch differential
+#   7. Batch-execution gate, run unconditionally: the batch differential
 #      test (every TPC-H query, batching on/off × bees on/off × dop 1/4,
 #      against the scalar serial engine) under ASan/UBSan and under TSan
 #      (batches cross the Gather queue between threads carrying page pins),
@@ -41,7 +37,7 @@
 #      warm scan is slower than the scalar pipeline. Unlike the dop-scaling
 #      checks, the batch gate runs even on 1-CPU machines: batching must
 #      win (or at worst tie) without any parallelism.
-#   9. Server front-door gate, run unconditionally: the server test suite
+#   8. Server front-door gate, run unconditionally: the server test suite
 #      (wire protocol, one write per request cycle, the latency floor, the
 #      seeded wire-frame fuzz, admission control, statement-cache sharing
 #      with exact forge accounting, concurrent differential, shutdown drain)
@@ -50,14 +46,16 @@
 #      simple and prepared execution of the TPC-H statement set, rows
 #      diffed against the library path, a /metrics scrape, and a clean
 #      drain on shutdown.
-#  10. Tracing & stats-feedback gate, run unconditionally: the tracing
+#   9. Tracing & stats-feedback gate, run unconditionally: the tracing
 #      suite under ASan/UBSan and under TSan (fragment spans append from
 #      worker threads while the driver opens phase spans — the exact race
-#      surface), the stats-feedback suite under ASan/UBSan, then
-#      bench_tpch_warm --trace-gate, which fails if the tracing-off path
-#      (trace_sample_n=0, the default every figure harness runs) is slower
-#      than a run collecting full span trees and column sketches.
-#  11. WAL & recovery gate, run unconditionally: the WAL unit suite and the
+#      surface), the stats-feedback suite under ASan/UBSan, then the one
+#      instrumentation-overhead gate, bench_tpch_warm --trace-gate: it times
+#      the TPC-H suite with telemetry off vs on, then with tracing off
+#      (trace_sample_n=0, the default every figure harness runs) vs full
+#      span trees and column sketches, and fails if either off path is
+#      measurably slower than its on path. Tiny scale factor, so it's fast.
+#  10. WAL & recovery gate, run unconditionally: the WAL unit suite and the
 #      kill-and-replay differential harness (fork a child per crash point,
 #      SIGKILL it mid-flush via MICROSPEC_FAILPOINT, recover, diff against
 #      a never-crashed twin of the committed prefix) under ASan/UBSan; the
@@ -71,14 +69,14 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="${BUILD_DIR:-$ROOT/build-check}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-echo "== 1/11: -Werror build =="
+echo "== 1/10: -Werror build =="
 # -Wno-restrict: GCC 12's -O2 restrict analysis false-positives inside
 # libstdc++'s std::string append paths; everything else stays fatal.
 cmake -B "$BUILD_DIR" -S "$ROOT" \
   -DCMAKE_CXX_FLAGS="-Werror -Wno-restrict" >/dev/null
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
-echo "== 2/11: static analysis =="
+echo "== 2/10: static analysis =="
 if command -v cppcheck >/dev/null 2>&1; then
   cppcheck --quiet --error-exitcode=1 \
     --enable=warning,portability \
@@ -100,25 +98,18 @@ else
   echo "clang-tidy: not installed, skipped"
 fi
 
-echo "== 3/11: tests =="
+echo "== 3/10: tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
-echo "== 4/11: mutation-fuzz proof harness =="
+echo "== 4/10: mutation-fuzz proof harness =="
 # Fixed seed so any escape reproduces locally; 350 mutants per family x 6
 # families comfortably clears the 2000-mutant floor and runs in well under
 # a second.
 "$BUILD_DIR"/examples/example_bee_inspector --fuzz 0xC0FFEE 350
 
-echo "== 5/11: telemetry overhead gate =="
-# Small scale + few reps keep this quick; the gate retries internally to
-# damp scheduler noise and exits nonzero only on a consistent regression.
-MICROSPEC_SF="${MICROSPEC_GATE_SF:-0.005}" \
-MICROSPEC_REPS="${MICROSPEC_GATE_REPS:-3}" \
-  "$BUILD_DIR"/bench/bench_tpch_warm --telemetry-gate
-
 case "${SANITIZE:-0}" in
   1)
-    echo "== 6/11: ASan/UBSan build + tests =="
+    echo "== 5/10: ASan/UBSan build + tests =="
     SAN_DIR="$BUILD_DIR-asan"
     cmake -B "$SAN_DIR" -S "$ROOT" \
       -DMICROSPEC_SANITIZE="address;undefined" \
@@ -128,7 +119,7 @@ case "${SANITIZE:-0}" in
       ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS"
     ;;
   thread)
-    echo "== 6/11: TSan build + tests =="
+    echo "== 5/10: TSan build + tests =="
     SAN_DIR="$BUILD_DIR-tsan"
     cmake -B "$SAN_DIR" -S "$ROOT" \
       -DMICROSPEC_SANITIZE="thread" \
@@ -138,12 +129,12 @@ case "${SANITIZE:-0}" in
       ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS"
     ;;
   *)
-    echo "== 6/11: sanitizers skipped (SANITIZE=1 for ASan/UBSan," \
+    echo "== 5/10: sanitizers skipped (SANITIZE=1 for ASan/UBSan," \
          "SANITIZE=thread for TSan) =="
     ;;
 esac
 
-echo "== 7/11: parallel-execution sanitizer gate =="
+echo "== 6/10: parallel-execution sanitizer gate =="
 # Targeted builds: only the standalone parallel test binaries (plus their
 # dependencies) are compiled in the sanitizer trees, so this stays cheap
 # even when SANITIZE is unset and the full sanitized suites did not run.
@@ -164,7 +155,7 @@ cmake --build "$TSAN_DIR" -j "$JOBS" \
 TSAN_OPTIONS=halt_on_error=1 "$TSAN_DIR"/tests/parallel_forge_stress_test
 TSAN_OPTIONS=halt_on_error=1 "$TSAN_DIR"/tests/parallel_differential_test
 
-echo "== 8/11: batch-execution gate =="
+echo "== 7/10: batch-execution gate =="
 # Differential correctness first: batched plans must be row-identical to
 # the scalar serial engine under both sanitizer families (batches carry
 # page pins across the bounded Gather queue, so TSan coverage matters).
@@ -181,7 +172,7 @@ MICROSPEC_SF="${MICROSPEC_GATE_SF:-0.005}" \
 MICROSPEC_REPS="${MICROSPEC_GATE_REPS:-3}" \
   "$BUILD_DIR"/bench/bench_tpch_warm --batch-gate
 
-echo "== 9/11: server front-door gate =="
+echo "== 8/10: server front-door gate =="
 # Sessions, the statement cache, the shared query-bee cache, and the forge
 # all race each other by design; the server suite never ships without both
 # sanitizer families.
@@ -197,7 +188,7 @@ TSAN_OPTIONS=halt_on_error=1 "$TSAN_DIR"/tests/server_test
 MICROSPEC_SF="${MICROSPEC_GATE_SF:-0.005}" \
   "$BUILD_DIR"/bench/bench_server --smoke
 
-echo "== 10/11: tracing & stats-feedback gate =="
+echo "== 9/10: tracing & stats-feedback gate =="
 # Span buffers are appended from every executor worker of a sampled query;
 # the tracing suite runs under both sanitizer families before anything
 # ships. The stats-feedback suite (exact selectivity counts, sketch
@@ -210,13 +201,15 @@ ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
 cmake --build "$TSAN_DIR" -j "$JOBS" --target tracing_test
 TSAN_OPTIONS=halt_on_error=1 "$TSAN_DIR"/tests/tracing_test
 
-# The overhead contract: tracing off (the default) must cost nothing
-# measurable against a run with full span trees + workload sketches on.
+# The overhead contract: telemetry off and tracing off (the defaults) must
+# each cost nothing measurable against their on paths. Small scale + few
+# reps keep this quick; the gate retries internally to damp scheduler noise
+# and exits nonzero only on a consistent regression.
 MICROSPEC_SF="${MICROSPEC_GATE_SF:-0.005}" \
 MICROSPEC_REPS="${MICROSPEC_GATE_REPS:-3}" \
   "$BUILD_DIR"/bench/bench_tpch_warm --trace-gate
 
-echo "== 11/11: WAL & recovery gate =="
+echo "== 10/10: WAL & recovery gate =="
 # Crash recovery is exactly the code that only runs after something went
 # wrong, so it never ships without sanitizer coverage: the WAL unit suite
 # and the full kill-and-replay differential sweep under ASan/UBSan, then

@@ -6,18 +6,19 @@
 #include "bee/bee_module.h"
 #include "bee/native_jit.h"
 #include "common/telemetry.h"
+#include "common/tracing.h"
 
 namespace microspec::bee {
 
 namespace {
 
-/// The process-wide forge event trace: one Record per lifecycle transition.
-/// Events are per-compile (rare), so routing every forge in the process into
-/// one ring keeps bee_inspector/SnapshotTelemetry trivially complete.
-void Trace(telemetry::ForgeEventKind kind, const std::string& relation,
+/// One background-lane span per lifecycle transition, ending now and
+/// covering `duration_ns` (the compile time of a success). Events are
+/// per-compile (rare), so every forge in the process shares the one lane.
+void Trace(const char* event, const std::string& relation,
            uint64_t duration_ns = 0) {
-  telemetry::Registry::Global().forge_trace()->Record(kind, relation,
-                                                      duration_ns);
+  const uint64_t now = telemetry::NowNs();
+  trace::RecordEvent(event, relation, now - duration_ns, now);
 }
 
 int AutoWorkers() {
@@ -58,7 +59,7 @@ Forge::~Forge() {
     stop_ = true;
     stats_.cancelled += pending_.size();
     for (const Job& job : pending_) {
-      Trace(telemetry::ForgeEventKind::kCancelled, job.state->table_name());
+      Trace("cancelled", job.state->table_name());
     }
     pending_.clear();
   }
@@ -69,7 +70,7 @@ Forge::~Forge() {
 
 void Forge::Enqueue(std::shared_ptr<RelationBeeState> state) {
   state->SetForgePhase(ForgePhase::kPending);
-  Trace(telemetry::ForgeEventKind::kQueued, state->table_name());
+  Trace("queued", state->table_name());
   if (!options_.async) {
     // Sync (paper Section III-B) mode: one attempt on the DDL thread — the
     // baseline bench_forge measures async DDL latency against. Starting at
@@ -159,13 +160,13 @@ void Forge::RunOne() {
 void Forge::ProcessJob(Job job) {
   RelationBeeState* state = job.state.get();
   if (state->collected()) {
-    Trace(telemetry::ForgeEventKind::kCancelled, state->table_name());
+    Trace("cancelled", state->table_name());
     std::lock_guard<std::mutex> guard(mutex_);
     ++stats_.cancelled;
     return;
   }
   state->SetForgePhase(ForgePhase::kCompiling);
-  Trace(telemetry::ForgeEventKind::kStarted, state->table_name());
+  Trace("started", state->table_name());
 
   // Off-thread verification — the same VerifyMode path CREATE TABLE used to
   // run inline. A reject never retries (the generated source is
@@ -181,7 +182,7 @@ void Forge::ProcessJob(Job job) {
       if (BeeVerifier::ReportReject("native-gcl", state->table_name(), st,
                                     verify_)) {
         state->PinToProgram("native bee rejected: " + st.message());
-        Trace(telemetry::ForgeEventKind::kPinned, state->table_name());
+        Trace("pinned", state->table_name());
         std::lock_guard<std::mutex> guard(mutex_);
         ++stats_.failures;
         ++stats_.pinned;
@@ -199,7 +200,7 @@ void Forge::ProcessJob(Job job) {
       if (BeeVerifier::ReportReject("native-logapp", state->table_name(), lst,
                                     verify_)) {
         state->PinToProgram("native log bee rejected: " + lst.message());
-        Trace(telemetry::ForgeEventKind::kPinned, state->table_name());
+        Trace("pinned", state->table_name());
         std::lock_guard<std::mutex> guard(mutex_);
         ++stats_.failures;
         ++stats_.pinned;
@@ -221,7 +222,7 @@ void Forge::ProcessJob(Job job) {
   if (fn.ok()) {
     state->PublishNative(fn.value().scalar, fn.value().batch,
                          fn.value().log_apply);
-    Trace(telemetry::ForgeEventKind::kSucceeded, state->table_name(),
+    Trace("succeeded", state->table_name(),
           static_cast<uint64_t>(seconds * 1e9));
     std::lock_guard<std::mutex> guard(mutex_);
     ++stats_.promotions;
@@ -237,14 +238,14 @@ void Forge::ProcessJob(Job job) {
     ++stats_.pinned;
     guard.unlock();
     state->PinToProgram(fn.status().message());
-    Trace(telemetry::ForgeEventKind::kPinned, state->table_name());
+    Trace("pinned", state->table_name());
     return;
   }
   // Capped exponential backoff before the next attempt; transient failures
   // (compiler farm hiccups, disk pressure) get another chance, persistent
   // ones converge on the pin above.
   ++stats_.retries;
-  Trace(telemetry::ForgeEventKind::kRetried, state->table_name());
+  Trace("retried", state->table_name());
   int64_t backoff_ms = static_cast<int64_t>(options_.backoff_base_ms)
                        << (job.attempts - 1);
   backoff_ms = std::min<int64_t>(backoff_ms, options_.backoff_cap_ms);

@@ -5,6 +5,7 @@
 
 #include "common/align.h"
 #include "common/telemetry.h"
+#include "common/tracing.h"
 #include "storage/page.h"
 #include "storage/tuple.h"
 
@@ -1283,11 +1284,12 @@ Status BeeVerifier::LintNativeEvpSource(const std::string& source,
 
 bool BeeVerifier::ReportReject(const char* family, const std::string& subject,
                                const Status& st, VerifyMode mode) {
-  telemetry::Registry& reg = telemetry::Registry::Global();
-  reg.GetCounter("microspec_bee_verify_rejects_total")->Add(1);
-  reg.forge_trace()->Record(telemetry::ForgeEventKind::kVerifyRejected,
-                            subject, 0,
-                            std::string(family) + ": " + st.message());
+  telemetry::Registry::Global()
+      .GetCounter("microspec_bee_verify_rejects_total")
+      ->Add(1);
+  const uint64_t now = telemetry::NowNs();
+  trace::RecordEvent("verify-rejected", family, now, now,
+                     subject + ": " + st.message());
   return mode == VerifyMode::kEnforce;
 }
 

@@ -164,9 +164,9 @@ class BeeVerifier {
 
   /// Routes a verifier rejection through telemetry: bumps the
   /// `microspec_bee_verify_rejects_total` counter and records a
-  /// `verify-rejected` forge trace event carrying `subject` and the
-  /// diagnostic. Returns true when `mode` is kEnforce — i.e. when the
-  /// caller must refuse the install.
+  /// "verify-rejected <family>: <subject>: <diagnostic>" span on the
+  /// background lane (trace::RecordEvent). Returns true when `mode` is
+  /// kEnforce — i.e. when the caller must refuse the install.
   static bool ReportReject(const char* family, const std::string& subject,
                            const Status& st, VerifyMode mode);
 };

@@ -8,23 +8,6 @@
 
 namespace microspec::telemetry {
 
-namespace {
-
-bool EnvEnabled() {
-  const char* v = std::getenv("MICROSPEC_TELEMETRY");
-  if (v == nullptr) return false;
-  return std::strcmp(v, "0") != 0 && std::strcmp(v, "") != 0 &&
-         std::strcmp(v, "false") != 0;
-}
-
-std::string FormatValue(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-/// Escaping for Prometheus label values and JSON strings (the shared subset:
-/// backslash, double quote, control characters).
 std::string Escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -43,6 +26,21 @@ std::string Escape(const std::string& s) {
     }
   }
   return out;
+}
+
+namespace {
+
+bool EnvEnabled() {
+  const char* v = std::getenv("MICROSPEC_TELEMETRY");
+  if (v == nullptr) return false;
+  return std::strcmp(v, "0") != 0 && std::strcmp(v, "") != 0 &&
+         std::strcmp(v, "false") != 0;
+}
+
+std::string FormatValue(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return buf;
 }
 
 std::string RenderLabels(const std::map<std::string, std::string>& labels,
@@ -88,57 +86,6 @@ uint64_t Histogram::Snapshot::Quantile(double q) const {
     }
   }
   return BucketBound(kBuckets - 1);
-}
-
-/// --- EventTrace -------------------------------------------------------------
-
-const char* ForgeEventKindName(ForgeEventKind kind) {
-  switch (kind) {
-    case ForgeEventKind::kQueued:    return "queued";
-    case ForgeEventKind::kStarted:   return "started";
-    case ForgeEventKind::kSucceeded: return "succeeded";
-    case ForgeEventKind::kRetried:   return "retried";
-    case ForgeEventKind::kPinned:    return "pinned";
-    case ForgeEventKind::kCancelled: return "cancelled";
-    case ForgeEventKind::kVerifyRejected: return "verify-rejected";
-  }
-  return "?";
-}
-
-void EventTrace::Record(ForgeEventKind kind, std::string_view relation,
-                        uint64_t duration_ns, std::string_view detail) {
-  ForgeEvent ev;
-  ev.ts_ns = NowNs();
-  ev.kind = kind;
-  ev.duration_ns = duration_ns;
-  size_t n = std::min(relation.size(), sizeof(ev.relation) - 1);
-  std::memcpy(ev.relation, relation.data(), n);
-  ev.relation[n] = '\0';
-  size_t d = std::min(detail.size(), sizeof(ev.detail) - 1);
-  if (d > 0) std::memcpy(ev.detail, detail.data(), d);
-  ev.detail[d] = '\0';
-  std::lock_guard<std::mutex> guard(mutex_);
-  ev.seq = next_seq_++;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(ev);
-  } else {
-    ring_[ev.seq % capacity_] = ev;
-  }
-}
-
-std::vector<ForgeEvent> EventTrace::Snapshot() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  std::vector<ForgeEvent> out = ring_;
-  std::sort(out.begin(), out.end(),
-            [](const ForgeEvent& a, const ForgeEvent& b) {
-              return a.seq < b.seq;
-            });
-  return out;
-}
-
-uint64_t EventTrace::total_recorded() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return next_seq_;
 }
 
 /// --- TelemetrySnapshot ------------------------------------------------------
@@ -275,17 +222,6 @@ std::string TelemetrySnapshot::ToJson() const {
     out += "}";
     out += i + 1 < samples.size() ? ",\n" : "\n";
   }
-  out += "  ],\n  \"forge_events\": [\n";
-  for (size_t i = 0; i < forge_events.size(); ++i) {
-    const ForgeEvent& ev = forge_events[i];
-    out += "    {\"seq\": " + std::to_string(ev.seq) +
-           ", \"ts_ns\": " + std::to_string(ev.ts_ns) + ", \"event\": \"" +
-           ForgeEventKindName(ev.kind) + "\", \"relation\": \"" +
-           Escape(ev.relation) +
-           "\", \"duration_ns\": " + std::to_string(ev.duration_ns) +
-           ", \"detail\": \"" + Escape(ev.detail) + "\"}";
-    out += i + 1 < forge_events.size() ? ",\n" : "\n";
-  }
   out += "  ]\n}\n";
   return out;
 }
@@ -336,9 +272,6 @@ void Registry::FillSnapshot(TelemetrySnapshot* snap) const {
   }
   for (const auto& [name, h] : histograms_) {
     snap->AddHistogram(name, h->Snap());
-  }
-  for (ForgeEvent& ev : forge_trace_.Snapshot()) {
-    snap->forge_events.push_back(ev);
   }
 }
 

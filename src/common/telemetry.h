@@ -9,7 +9,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/macros.h"
@@ -20,8 +19,9 @@ namespace microspec::telemetry {
 /// The paper's argument is quantitative: Figures 5-8 count the instructions,
 /// pages, and cycles each bee tier removes. This module is the runtime's one
 /// coherent observability substrate — a process-wide registry of lock-free
-/// sharded counters, gauges, and fixed-bucket latency histograms, plus a
-/// ring-buffer trace of forge events. Every hot-path write is a relaxed
+/// sharded counters, gauges, and fixed-bucket latency histograms (events
+/// such as forge compiles are spans on trace::Tracer::Background()). Every
+/// hot-path write is a relaxed
 /// atomic on a thread-sharded cache line; merging happens on read, so the
 /// measured paths never serialize on the measurement.
 ///
@@ -29,7 +29,7 @@ namespace microspec::telemetry {
 /// operator stats) are gated: deform timing behind the process-wide
 /// Enabled() flag, operator stats behind an ExecContext decorator that is
 /// simply not installed when off — the uninstrumented hot path stays
-/// zero-overhead (enforced by the check.sh telemetry gate).
+/// zero-overhead (enforced by bench_tpch_warm --trace-gate).
 
 /// Nanoseconds on the steady clock (process-relative; used for latencies
 /// and trace timestamps).
@@ -167,54 +167,6 @@ class Histogram {
   Shard shards_[kShards];
 };
 
-/// --- Forge event trace ------------------------------------------------------
-/// Timestamped ring buffer of forge lifecycle events: what got queued,
-/// when compilation started, how it ended, and how long it took. Events are
-/// rare (per compile, not per tuple), so a mutex-guarded ring is plenty; the
-/// ring bounds memory no matter how many DDLs a long-lived process runs.
-
-enum class ForgeEventKind : uint8_t {
-  kQueued,     // native compile submitted to the forge
-  kStarted,    // a worker picked the job up
-  kSucceeded,  // native routine published (duration = compile wall time)
-  kRetried,    // attempt failed; re-queued with backoff
-  kPinned,     // permanently degraded to the program tier
-  kCancelled,  // dropped (relation dropped or forge shut down)
-  kVerifyRejected,  // bee verifier rejected a program/source (detail = why)
-};
-
-const char* ForgeEventKindName(ForgeEventKind kind);
-
-struct ForgeEvent {
-  uint64_t seq = 0;    // global order of recording (monotonic)
-  uint64_t ts_ns = 0;  // steady-clock timestamp
-  ForgeEventKind kind = ForgeEventKind::kQueued;
-  char relation[24] = {0};  // truncated relation name (NUL-terminated)
-  uint64_t duration_ns = 0;  // kSucceeded: compile wall time
-  char detail[64] = {0};  // kVerifyRejected: truncated diagnostic
-};
-
-class EventTrace {
- public:
-  explicit EventTrace(size_t capacity = 1024) : capacity_(capacity) {}
-  MICROSPEC_DISALLOW_COPY_AND_MOVE(EventTrace);
-
-  void Record(ForgeEventKind kind, std::string_view relation,
-              uint64_t duration_ns = 0, std::string_view detail = {});
-
-  /// Events still in the ring, oldest first (seq ascending).
-  std::vector<ForgeEvent> Snapshot() const;
-
-  /// Total events ever recorded (>= Snapshot().size()).
-  uint64_t total_recorded() const;
-
- private:
-  mutable std::mutex mutex_;
-  size_t capacity_;
-  uint64_t next_seq_ = 0;
-  std::vector<ForgeEvent> ring_;  // ring_[seq % capacity_]
-};
-
 /// --- Snapshot tree ----------------------------------------------------------
 /// A merged point-in-time view of every metric, serializable to both the
 /// Prometheus text exposition format and JSON (the same values land in
@@ -242,7 +194,6 @@ struct Sample {
 
 struct TelemetrySnapshot {
   std::vector<Sample> samples;
-  std::vector<ForgeEvent> forge_events;
 
   void AddCounter(std::string name, double value,
                   std::map<std::string, std::string> labels = {});
@@ -260,7 +211,7 @@ struct TelemetrySnapshot {
   /// name{labels} value lines; histograms expand to _bucket/_sum/_count.
   std::string ToPrometheusText() const;
 
-  /// The same tree as JSON: {"metrics": [...], "forge_events": [...]}.
+  /// The same tree as JSON: {"metrics": [...]}.
   /// Values are rendered with the same %.9g format as the Prometheus text,
   /// so the two serializations round-trip identical numbers.
   std::string ToJson() const;
@@ -280,10 +231,7 @@ class Registry {
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
 
-  /// The process-wide forge event trace.
-  EventTrace* forge_trace() { return &forge_trace_; }
-
-  /// Appends every registered instrument (and the forge trace) to `snap`.
+  /// Appends every registered instrument to `snap`.
   void FillSnapshot(TelemetrySnapshot* snap) const;
 
  private:
@@ -294,8 +242,11 @@ class Registry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  EventTrace forge_trace_{1024};
 };
+
+/// Escaping for Prometheus label values and JSON strings (the shared subset:
+/// backslash, double quote, control characters).
+std::string Escape(const std::string& s);
 
 /// --- TextTable --------------------------------------------------------------
 /// Minimal aligned-column renderer shared by bee_inspector's --forge and

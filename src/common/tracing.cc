@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/hash.h"
 #include "common/telemetry.h"
 
 namespace microspec::trace {
@@ -20,6 +21,7 @@ const char* SpanKindName(SpanKind kind) {
     case SpanKind::kBee: return "bee";
     case SpanKind::kWait: return "wait";
     case SpanKind::kDdl: return "ddl";
+    case SpanKind::kEvent: return "event";
   }
   return "?";
 }
@@ -315,7 +317,12 @@ std::vector<SlowQuery> Tracer::SlowLog() const {
 }
 
 std::string Tracer::ChromeTraceJson() const {
-  return trace::ChromeTraceJson(Recent());
+  std::vector<std::shared_ptr<const Trace>> traces = Recent();
+  if (this != &Background()) {
+    std::vector<std::shared_ptr<const Trace>> lane = Background().Recent();
+    traces.insert(traces.end(), lane.begin(), lane.end());
+  }
+  return trace::ChromeTraceJson(traces);
 }
 
 void Tracer::FillSnapshot(telemetry::TelemetrySnapshot* snap) const {
@@ -332,29 +339,72 @@ void Tracer::FillSnapshot(telemetry::TelemetrySnapshot* snap) const {
 }
 
 // ---------------------------------------------------------------------------
-// Rendering
+// Background lane
 
 namespace {
 
-void AppendJsonEscaped(std::string* out, const std::string& in) {
-  for (char c : in) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
+/// The tracer plus the trace being filled. Each new trace is published as
+/// soon as it starts, so the tracer's ring is the whole lane and its
+/// eviction of the oldest trace is the lane's bound.
+struct BackgroundLane {
+  Tracer tracer{TracerOptions{.ring_capacity = kBackgroundTraces,
+                              .max_spans = kBackgroundTraceSpans}};
+  std::mutex mutex;
+  std::shared_ptr<Trace> filling;
+  size_t spans = 0;
+};
+
+BackgroundLane& Lane() {
+  // Leaked: forge workers may record during static destruction.
+  static BackgroundLane* lane = new BackgroundLane();
+  return *lane;
+}
+
+}  // namespace
+
+Tracer& Tracer::Background() { return Lane().tracer; }
+
+void RecordEvent(std::string_view event, std::string_view handle,
+                 uint64_t start_ns, uint64_t end_ns, std::string_view detail) {
+  std::string name(event);
+  name += ' ';
+  name += handle;
+  if (!detail.empty()) {
+    name += ": ";
+    name += detail;
+  }
+  BackgroundLane& lane = Lane();
+  std::lock_guard<std::mutex> lock(lane.mutex);
+  if (lane.filling == nullptr || lane.spans == kBackgroundTraceSpans) {
+    // Trace id 0: every lane trace renders as one Chrome pid.
+    lane.filling = std::make_shared<Trace>(0, kBackgroundTraceSpans);
+    lane.filling->set_sql("background");
+    lane.spans = 0;
+    lane.tracer.Publish(lane.filling);
+  }
+  ++lane.spans;
+  lane.filling->AddComplete(0, SpanKind::kEvent, std::move(name), start_ns,
+                            end_ns);
+}
+
+void RecordBuild(const char* prefix, std::string_view key, uint64_t start_ns,
+                 const Status& outcome) {
+  const uint64_t end_ns = telemetry::NowNs();
+  const unsigned long long hash = Hash64(key.data(), key.size());
+  char handle[32];
+  std::snprintf(handle, sizeof(handle), "%s%016llx", prefix, hash);
+  RecordEvent("queued", handle, start_ns, start_ns);
+  if (outcome.ok()) {
+    RecordEvent("succeeded", handle, start_ns, end_ns);
+  } else {
+    RecordEvent("cancelled", handle, start_ns, end_ns, outcome.message());
   }
 }
+
+// ---------------------------------------------------------------------------
+// Rendering
+
+namespace {
 
 void AppendMicros(std::string* out, uint64_t ns) {
   char buf[32];
@@ -394,7 +444,7 @@ std::string ChromeTraceJson(
       if (!first) out += ',';
       first = false;
       out += "{\"name\":\"";
-      AppendJsonEscaped(&out, s.name);
+      out += telemetry::Escape(s.name);
       out += "\",\"cat\":\"";
       out += s.wait != WaitKind::kNone ? WaitKindName(s.wait)
                                        : SpanKindName(s.kind);
@@ -451,13 +501,19 @@ std::string RenderTraceTree(const Trace& trace) {
     const Span& s = spans[id - 1];
     std::string name(static_cast<size_t>(depth) * 2, ' ');
     name += s.name.empty() ? SpanKindName(s.kind) : s.name;
-    const uint64_t end = s.end_ns >= s.start_ns ? s.end_ns : s.start_ns;
-    std::snprintf(buf, sizeof(buf), "%.3f",
-                  static_cast<double>(s.start_ns - t0) / 1e6);
-    std::string start_ms = buf;
-    std::snprintf(buf, sizeof(buf), "%.3f",
-                  static_cast<double>(end - s.start_ns) / 1e6);
-    std::string dur_ms = buf;
+    // A span that never started (an operator whose Init was never reached)
+    // has no window: empty cells, not a wrapped 0 - t0.
+    std::string start_ms;
+    std::string dur_ms;
+    if (s.start_ns != 0) {
+      const uint64_t end = s.end_ns >= s.start_ns ? s.end_ns : s.start_ns;
+      std::snprintf(buf, sizeof(buf), "%.3f",
+                    static_cast<double>(s.start_ns - t0) / 1e6);
+      start_ms = buf;
+      std::snprintf(buf, sizeof(buf), "%.3f",
+                    static_cast<double>(end - s.start_ns) / 1e6);
+      dur_ms = buf;
+    }
     table.Row({name,
                s.wait != WaitKind::kNone ? WaitKindName(s.wait)
                                          : SpanKindName(s.kind),

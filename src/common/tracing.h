@@ -7,10 +7,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/macros.h"
+#include "common/status.h"
 
 namespace microspec::telemetry {
 struct TelemetrySnapshot;
@@ -53,6 +55,7 @@ enum class SpanKind : uint8_t {
   kBee,        // aggregated bee invocations of one operator
   kWait,       // blocked time, classified by WaitKind
   kDdl,        // CREATE TABLE body (includes relation-bee forging)
+  kEvent,      // background-lane lifecycle event (forge, cache build, reject)
 };
 
 const char* SpanKindName(SpanKind kind);
@@ -88,7 +91,9 @@ uint32_t ThreadOrdinal();
 /// One sampled query's (or session's) span buffer. Thread-safe: parallel
 /// fragments append from worker threads. Span count is capped; appends past
 /// the cap are counted in dropped() instead of growing without bound.
-class Trace {
+/// Shareable from within so the slow-query log can reference the trace a
+/// statement ran under.
+class Trace : public std::enable_shared_from_this<Trace> {
  public:
   explicit Trace(uint64_t trace_id, size_t max_spans = 4096)
       : trace_id_(trace_id), max_spans_(max_spans) {}
@@ -224,15 +229,12 @@ class SpanScope {
 
 /// --- Slow-query log ---------------------------------------------------------
 
+/// A statement over the latency threshold. Its phase totals, SQL text and
+/// operator spans are read from the trace it ran under, not copied.
 struct SlowQuery {
-  uint64_t trace_id = 0;
   uint64_t ts_ns = 0;  // when the statement finished (steady clock)
   uint64_t total_ns = 0;
-  uint64_t parse_ns = 0;
-  uint64_t plan_ns = 0;
-  uint64_t exec_ns = 0;
-  std::string sql;
-  std::string analyze;  // EXPLAIN ANALYZE tree when collected, else empty
+  std::shared_ptr<const Trace> trace;  // never null
 };
 
 /// --- Tracer -----------------------------------------------------------------
@@ -240,8 +242,8 @@ struct SlowQuery {
 /// by an atomic counter and statement q is sampled iff sample_n != 0 and
 /// (q - 1) % sample_n == 0 — no RNG, so a fixed workload yields a fixed
 /// sample set (tested). Finished traces land in a bounded ring; statements
-/// over the latency threshold additionally land in the slow-query log with
-/// their EXPLAIN ANALYZE tree attached.
+/// over the latency threshold additionally land in the slow-query log, which
+/// references their traces.
 struct TracerOptions {
   uint32_t sample_n = 0;       // 0 = tracing off
   size_t ring_capacity = 16;   // finished traces retained
@@ -295,10 +297,19 @@ class Tracer {
     return sampled_total_.load(std::memory_order_relaxed);
   }
 
-  /// Chrome trace_event JSON ({"traceEvents": [...]}) over the whole ring;
-  /// loads in chrome://tracing / Perfetto. Each trace renders as one pid
-  /// group, threads as tids, wait spans carry their WaitKind as category.
+  /// Chrome trace_event JSON ({"traceEvents": [...]}) over the whole ring
+  /// plus the background lane (pid 0); loads in chrome://tracing /
+  /// Perfetto. Each trace renders as one pid group, threads as tids, wait
+  /// spans carry their WaitKind as category.
   std::string ChromeTraceJson() const;
+
+  /// The process-wide background lane: events that belong to no query
+  /// (forge lifecycle, shared-cache builds, verifier rejects), recorded by
+  /// RecordEvent. Its ring holds kBackgroundTraces traces of at most
+  /// kBackgroundTraceSpans spans each, so the lane keeps at most the newest
+  /// kBackgroundTraces * kBackgroundTraceSpans events. Leaked like
+  /// telemetry::Registry::Global().
+  static Tracer& Background();
 
   /// Tracer-level counters for SnapshotTelemetry (sampled/dropped totals).
   void FillSnapshot(telemetry::TelemetrySnapshot* snap) const;
@@ -314,8 +325,25 @@ class Tracer {
   std::deque<SlowQuery> slow_log_;
 };
 
+constexpr size_t kBackgroundTraceSpans = 256;
+constexpr size_t kBackgroundTraces = 4;
+
+/// Appends one closed span "<event> <handle>[: <detail>]" over
+/// [start_ns, end_ns] to the background lane. Per compile, cache miss or
+/// reject — never per row.
+void RecordEvent(std::string_view event, std::string_view handle,
+                 uint64_t start_ns, uint64_t end_ns,
+                 std::string_view detail = {});
+
+/// The build-outcome record shared by the statement cache ("stmt:") and the
+/// query-bee cache ("evp:"/"evj:"): a "queued" event at `start_ns`, then
+/// "succeeded" or "cancelled" (detail = why) over the build time. The
+/// handle is `prefix` plus the key's hash in hex.
+void RecordBuild(const char* prefix, std::string_view key, uint64_t start_ns,
+                 const Status& outcome);
+
 /// Renders a trace as an indented span tree (shared by sql_shell \trace and
-/// bee_inspector --trace), via telemetry::TextTable.
+/// bee_inspector --trace/--slow/--metrics), via telemetry::TextTable.
 std::string RenderTraceTree(const Trace& trace);
 
 /// Chrome trace_event JSON for an explicit trace list (the Tracer ring

@@ -44,7 +44,6 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
   if (db->options_.wal_enabled) {
     Wal::Options wo;
     wo.group_commit = db->options_.wal_group_commit;
-    wo.group_commit_window_us = db->options_.wal_group_commit_window_us;
     wo.stats = &db->stats_;
     MICROSPEC_ASSIGN_OR_RETURN(db->wal_,
                                Wal::Open(db->options_.dir + "/wal.log", wo));

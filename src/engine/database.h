@@ -52,9 +52,6 @@ struct DatabaseOptions {
   /// NextBatch() path and enables the GCL-B/EVP-B batch bees. Clamped to
   /// kMaxTuplesPerPage — one 8 KiB page's worth of tuples.
   int batch_rows = 0;
-  /// Bound on Gather's hand-off queue, in batches per worker; keeps a
-  /// fast producer from buffering an unbounded deep copy of the input.
-  int gather_max_batches = 4;
   /// Shared bee economy (DESIGN.md "Server front door"): when true, every
   /// context made by this database routes EVP/EVJ creation through one
   /// process-wide QueryBeeCache, so N sessions preparing the same statement
@@ -67,12 +64,9 @@ struct DatabaseOptions {
   uint32_t trace_sample_n = 0;
   /// Completed sampled traces retained for export (ring buffer).
   size_t trace_ring = 16;
-  /// Span cap per trace; beyond it spans are counted as dropped, not stored.
-  size_t trace_max_spans = 4096;
-  /// Statements slower than this land in the slow-query log with their
-  /// EXPLAIN ANALYZE tree attached (sampled statements only).
+  /// Statements slower than this land in the slow-query log, which
+  /// references their traces (sampled statements only).
   uint64_t slow_query_ns = 250'000'000;  // 250 ms
-  size_t slow_log_capacity = 64;
   /// Workload statistics feedback (DESIGN.md §10): collect per-column
   /// min/max/ndv sketches during scans and observed selectivity per EVP/EVJ
   /// fingerprint, merged into SnapshotTelemetry(). Off by default.
@@ -85,9 +79,6 @@ struct DatabaseOptions {
   /// fdatasync. When false every Commit syncs inline (the 1-commit baseline
   /// bench_wal compares against).
   bool wal_group_commit = true;
-  /// Flusher batching window in microseconds (0 = coalesce only what is
-  /// already pending when the flusher wakes).
-  int wal_group_commit_window_us = 0;
 };
 
 /// Handle for one WAL transaction: the id plus the start-LSN of its most
@@ -172,7 +163,7 @@ class Database {
     auto ctx =
         std::make_unique<ExecContext>(catalog_.get(), bees_.get(), opts);
     if (dop > 1) ctx->set_parallel(Executor(dop), dop, options_.morsel_pages);
-    ctx->set_batch(options_.batch_rows, options_.gather_max_batches);
+    ctx->set_batch(options_.batch_rows);
     if (options_.share_query_bees) ctx->set_shared_bees(&shared_bees_);
     // Traces are per-statement (installed by sqlfe/server when sampled);
     // the stats-feedback sink is database-wide and rides on every context.
@@ -261,19 +252,18 @@ class Database {
   /// One merged point-in-time view of everything measurable: this database's
   /// io/buffer counters, the process-wide work-op total (all threads,
   /// including forge workers), per-relation bee tier stats and deform
-  /// latency histograms, forge counters, the global registry, and the forge
-  /// event trace. Serializes to Prometheus text or JSON — see
+  /// latency histograms, forge counters, and the global registry.
+  /// Serializes to Prometheus text or JSON — see
   /// telemetry::TelemetrySnapshot.
   telemetry::TelemetrySnapshot SnapshotTelemetry();
 
  private:
   explicit Database(DatabaseOptions options)
       : options_(std::move(options)),
-        tracer_(trace::TracerOptions{options_.trace_sample_n,
-                                     options_.trace_ring,
-                                     options_.trace_max_spans,
-                                     options_.slow_query_ns,
-                                     options_.slow_log_capacity}) {}
+        tracer_(trace::TracerOptions{
+            .sample_n = options_.trace_sample_n,
+            .ring_capacity = options_.trace_ring,
+            .slow_query_ns = options_.slow_query_ns}) {}
 
   static IndexKey KeyFor(const IndexInfo& idx, const Datum* values);
 

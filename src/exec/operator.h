@@ -130,7 +130,10 @@ class ExecContext {
   /// parents only engage NextBatch when batch_rows() > 0 and the child
   /// subtree is BatchCapable(), so the default tree executes exactly as
   /// before this seam existed.
-  void set_batch(int batch_rows, int gather_max_batches) {
+  /// Default bound on Gather's hand-off queue, in batches per worker; keeps
+  /// a fast producer from buffering an unbounded deep copy of the input.
+  static constexpr int kGatherMaxBatches = 4;
+  void set_batch(int batch_rows, int gather_max_batches = kGatherMaxBatches) {
     batch_rows_ = batch_rows < 0 ? 0 : batch_rows;
     gather_max_batches_ = gather_max_batches < 1 ? 1 : gather_max_batches;
   }
@@ -250,7 +253,7 @@ class ExecContext {
   int dop_ = 1;
   uint32_t morsel_pages_ = 0;  // 0 => kDefaultMorselPages
   int batch_rows_ = 0;         // 0 => batch execution disabled
-  int gather_max_batches_ = 4;
+  int gather_max_batches_ = kGatherMaxBatches;
   Arena arena_;
   std::unordered_map<TableId, std::unique_ptr<StockDeformer>> stock_deformers_;
   std::unordered_map<TableId, std::unique_ptr<StockFormer>> stock_formers_;

@@ -1,9 +1,7 @@
 #include "exec/shared_bees.h"
 
-#include <cstdio>
-
-#include "common/hash.h"
 #include "common/telemetry.h"
+#include "common/tracing.h"
 
 namespace microspec {
 
@@ -119,15 +117,6 @@ void AppendMetaList(std::string* out, const std::vector<ColMeta>* meta) {
   for (const ColMeta& m : *meta) AppendMeta(out, m);
 }
 
-/// Short printable handle for the forge trace's fixed-width relation field:
-/// "evp:" / "evj:" plus the key hash in hex.
-std::string TraceName(const char* prefix, const std::string& key) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%s%016llx", prefix,
-                static_cast<unsigned long long>(Hash64(key.data(), key.size())));
-  return buf;
-}
-
 telemetry::Counter* CacheHits() {
   static telemetry::Counter* c = telemetry::Registry::Global().GetCounter(
       "microspec_query_bee_cache_hits_total");
@@ -172,19 +161,12 @@ std::shared_ptr<Evaluator> GetOrBuild(std::mutex* mutex, Map* map,
     CacheHits()->Add(1);
   }
   std::call_once(entry->once, [&] {
-    telemetry::EventTrace* trace = telemetry::Registry::Global().forge_trace();
-    std::string name = TraceName(trace_prefix, key);
-    trace->Record(telemetry::ForgeEventKind::kQueued, name);
-    uint64_t t0 = telemetry::NowNs();
-    std::unique_ptr<Evaluator> bee = build();
-    if (bee != nullptr) {
-      entry->bee = std::shared_ptr<Evaluator>(std::move(bee));
-      trace->Record(telemetry::ForgeEventKind::kSucceeded, name,
-                    telemetry::NowNs() - t0);
-    } else {
-      trace->Record(telemetry::ForgeEventKind::kCancelled, name,
-                    telemetry::NowNs() - t0, "not specializable");
-    }
+    const uint64_t t0 = telemetry::NowNs();
+    entry->bee = build();
+    trace::RecordBuild(trace_prefix, key, t0,
+                       entry->bee != nullptr
+                           ? Status::OK()
+                           : Status::NotSupported("not specializable"));
   });
   return entry->bee;
 }

@@ -1,10 +1,9 @@
 #include "server/stmt_cache.h"
 
 #include <cctype>
-#include <cstdio>
 
-#include "common/hash.h"
 #include "common/telemetry.h"
+#include "common/tracing.h"
 #include "sqlfe/parser.h"
 
 namespace microspec::server {
@@ -27,17 +26,6 @@ telemetry::Counter* EvictionCounter() {
   static telemetry::Counter* c = telemetry::Registry::Global().GetCounter(
       "microspec_stmt_cache_evictions_total");
   return c;
-}
-
-/// "stmt:" plus the normalized statement's hash — the fixed-width handle
-/// this cache records into the forge event trace.
-std::string TraceName(const std::string& normalized) {
-  char buf[32];
-  std::snprintf(
-      buf, sizeof(buf), "stmt:%016llx",
-      static_cast<unsigned long long>(
-          Hash64(normalized.data(), normalized.size())));
-  return buf;
 }
 
 }  // namespace
@@ -128,21 +116,15 @@ Result<std::shared_ptr<const sqlfe::Statement>> StmtCache::GetOrParse(
   // Parse outside the cache lock; racing sessions on the same fresh entry
   // serialize on its once-flag only.
   std::call_once(entry->once, [&] {
-    telemetry::EventTrace* trace = telemetry::Registry::Global().forge_trace();
-    const std::string name = TraceName(key);
-    trace->Record(telemetry::ForgeEventKind::kQueued, name);
-    uint64_t t0 = telemetry::NowNs();
+    const uint64_t t0 = telemetry::NowNs();
     Result<sqlfe::Statement> parsed = sqlfe::Parse(key);
     if (parsed.ok()) {
       entry->stmt = std::make_shared<const sqlfe::Statement>(
           std::move(parsed.MoveValue()));
-      trace->Record(telemetry::ForgeEventKind::kSucceeded, name,
-                    telemetry::NowNs() - t0);
     } else {
       entry->error = parsed.status();
-      trace->Record(telemetry::ForgeEventKind::kCancelled, name,
-                    telemetry::NowNs() - t0, parsed.status().message());
     }
+    trace::RecordBuild("stmt:", key, t0, parsed.status());
   });
 
   if (entry->stmt == nullptr) return entry->error;

@@ -31,8 +31,9 @@ std::string NormalizeSql(const std::string& sql);
 ///
 /// This is the first level of the shared bee economy: the second is the
 /// engine's QueryBeeCache, which the cached statement's executions feed.
-/// Each entry records a "stmt:<hash>" kQueued/kSucceeded pair in the forge
-/// event trace, giving tests exact build-once accounting.
+/// Each entry records a "queued"/"succeeded stmt:<hash>" span pair on the
+/// background lane (trace::RecordBuild), giving tests exact build-once
+/// accounting.
 ///
 /// Parse failures are cached negatively (the entry holds the error), so a
 /// client replaying a malformed statement does not reparse it each time;

@@ -566,9 +566,9 @@ Result<SqlResult> ExecuteParsed(Database* db, ExecContext* ctx,
   }
   ctx->set_trace(trace::TraceContext{tr, stmt_span});
 
-  // Collect the plan-stats tree for sampled plain SELECTs so a slow
-  // statement can attach its EXPLAIN ANALYZE rendering. EXPLAIN ANALYZE
-  // itself (and any caller-installed collector) already has one.
+  // Install a plan-stats collector on sampled plain SELECTs: it is what
+  // gives the operators their spans in the trace. EXPLAIN ANALYZE itself
+  // (and any caller-installed collector) already has one.
   std::unique_ptr<QueryStats> qs;
   if (stmt.kind == Statement::Kind::kSelect && !stmt.explain_analyze &&
       ctx->analyze() == nullptr) {
@@ -584,21 +584,10 @@ Result<SqlResult> ExecuteParsed(Database* db, ExecContext* ctx,
   const uint64_t now = telemetry::NowNs();
   const uint64_t total_ns = now - stmt_start;
   if (total_ns >= tracer->slow_query_ns()) {
-    trace::SlowQuery slow;
-    slow.trace_id = tr->trace_id();
-    slow.ts_ns = now;
-    slow.total_ns = total_ns;
-    slow.parse_ns = tr->TotalNs(trace::SpanKind::kParse);
-    slow.plan_ns = tr->TotalNs(trace::SpanKind::kPlan);
-    slow.exec_ns = tr->TotalNs(trace::SpanKind::kExec);
-    slow.sql = hints.sql != nullptr ? *hints.sql : tr->sql();
-    if (qs != nullptr) {
-      for (std::string& line : qs->ToLines()) {
-        slow.analyze += line;
-        slow.analyze += '\n';
-      }
+    // Null only for a caller-installed trace no shared_ptr owns.
+    if (auto ref = tr->weak_from_this().lock()) {
+      tracer->RecordSlow({now, total_ns, std::move(ref)});
     }
-    tracer->RecordSlow(std::move(slow));
     SlowQueriesTotal()->Add(1);
   }
   if (owned != nullptr) tracer->Publish(std::move(owned));

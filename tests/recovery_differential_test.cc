@@ -78,7 +78,6 @@ DatabaseOptions OptionsFor(const DiffConfig& cfg, const std::string& dir) {
   opts.batch_rows = cfg.batch_rows;
   opts.wal_enabled = true;
   opts.wal_group_commit = true;
-  opts.wal_group_commit_window_us = 0;
   return opts;
 }
 

@@ -2,7 +2,7 @@
 // request cycle, the latency floor that write buys, malformed-frame
 // rejection, a seeded fuzz of hostile frames over live connections, admission-control backpressure, the shared bee economy
 // (K sessions preparing one statement => exactly one parse and one verified
-// bee specialization, with forge-trace accounting), statement-cache
+// bee specialization, with background-lane span accounting), statement-cache
 // eviction and DDL invalidation, the /metrics endpoint, and graceful
 // shutdown under load.
 //
@@ -53,17 +53,12 @@ using server::ServerOptions;
 using server::StmtCache;
 using testing::ScratchDir;
 
-/// Counts forge-trace events recorded at or after `start_seq` whose
-/// relation starts with `prefix`.
-size_t CountTrace(uint64_t start_seq, const char* prefix,
-                  telemetry::ForgeEventKind kind) {
+/// Counts background-lane spans started at or after `start_ns` whose name
+/// begins with `prefix` (e.g. "queued stmt:").
+size_t CountLane(uint64_t start_ns, const std::string& prefix) {
   size_t n = 0;
-  for (const telemetry::ForgeEvent& e :
-       telemetry::Registry::Global().forge_trace()->Snapshot()) {
-    if (e.seq >= start_seq && e.kind == kind &&
-        std::strncmp(e.relation, prefix, std::strlen(prefix)) == 0) {
-      ++n;
-    }
+  for (const trace::Span& s : testing::LaneSpansSince(start_ns)) {
+    if (s.name.rfind(prefix, 0) == 0) ++n;
   }
   return n;
 }
@@ -788,8 +783,7 @@ TEST(SharedBees, KSessionsOneStatementOneForgedBee) {
   h.Start();
   h.Seed();
 
-  const uint64_t start_seq =
-      telemetry::Registry::Global().forge_trace()->total_recorded();
+  const uint64_t start_ns = telemetry::NowNs();
   const uint64_t evp_before = h.db->bees()->stats().evp_bees_created;
   const StmtCache::Stats cache_before = h.srv->stmt_cache()->stats();
   const QueryBeeCache::Stats bees_before = h.db->shared_bees()->stats();
@@ -824,26 +818,22 @@ TEST(SharedBees, KSessionsOneStatementOneForgedBee) {
   for (std::thread& t : threads) t.join();
   ASSERT_EQ(ok_sessions.load(), kSessions);
 
-  // Exactly one parse: one "stmt:" queued/succeeded pair in the trace, and
-  // the statement cache saw K lookups -> 1 miss + K-1 hits.
-  EXPECT_EQ(CountTrace(start_seq, "stmt:", telemetry::ForgeEventKind::kQueued),
-            1u);
-  EXPECT_EQ(
-      CountTrace(start_seq, "stmt:", telemetry::ForgeEventKind::kSucceeded),
-      1u);
+  // Exactly one parse: one "stmt:" queued/succeeded span pair on the
+  // background lane, and the statement cache saw K lookups -> 1 miss + K-1
+  // hits.
+  EXPECT_EQ(CountLane(start_ns, "queued stmt:"), 1u);
+  EXPECT_EQ(CountLane(start_ns, "succeeded stmt:"), 1u);
   const StmtCache::Stats cache_after = h.srv->stmt_cache()->stats();
   EXPECT_EQ(cache_after.misses - cache_before.misses, 1u);
   EXPECT_EQ(cache_after.hits - cache_before.hits,
             static_cast<uint64_t>(kSessions - 1));
 
   // Exactly one bee specialization for K x kExecutes plan builds: one
-  // "evp:" pair, one EVP created (verified at install under kEnforce), and
-  // every other build served from the shared cache with no re-verification.
-  EXPECT_EQ(CountTrace(start_seq, "evp:", telemetry::ForgeEventKind::kQueued),
-            1u);
-  EXPECT_EQ(
-      CountTrace(start_seq, "evp:", telemetry::ForgeEventKind::kSucceeded),
-      1u);
+  // "evp:" span pair, one EVP created (verified at install under kEnforce),
+  // and every other build served from the shared cache with no
+  // re-verification.
+  EXPECT_EQ(CountLane(start_ns, "queued evp:"), 1u);
+  EXPECT_EQ(CountLane(start_ns, "succeeded evp:"), 1u);
   EXPECT_EQ(h.db->bees()->stats().evp_bees_created - evp_before, 1u);
   const QueryBeeCache::Stats bees_after = h.db->shared_bees()->stats();
   EXPECT_EQ(bees_after.misses - bees_before.misses, 1u);

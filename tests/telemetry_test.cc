@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bee/native_jit.h"
 #include "common/counters.h"
 #include "common/telemetry.h"
 #include "exec/seq_scan.h"
@@ -17,9 +15,6 @@ namespace microspec {
 namespace {
 
 using telemetry::Counter;
-using telemetry::EventTrace;
-using telemetry::ForgeEvent;
-using telemetry::ForgeEventKind;
 using telemetry::Histogram;
 using telemetry::TelemetrySnapshot;
 using testing::OpenDb;
@@ -116,81 +111,6 @@ TEST(WorkOps, TotalAcrossThreadsSeesOtherThreadsAndExitedThreads) {
   EXPECT_EQ(workops::Read(), 3u);
   // A per-thread Reset must not make the global total go backwards.
   EXPECT_GE(workops::TotalAcrossThreads(), after);
-}
-
-/// --- forge event trace ------------------------------------------------------
-
-TEST(EventTrace, OrderingAndRingWraparound) {
-  EventTrace trace(4);
-  trace.Record(ForgeEventKind::kQueued, "alpha");
-  trace.Record(ForgeEventKind::kStarted, "alpha");
-  trace.Record(ForgeEventKind::kSucceeded, "alpha", 123);
-  std::vector<ForgeEvent> events = trace.Snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].kind, ForgeEventKind::kQueued);
-  EXPECT_EQ(events[1].kind, ForgeEventKind::kStarted);
-  EXPECT_EQ(events[2].kind, ForgeEventKind::kSucceeded);
-  EXPECT_EQ(events[2].duration_ns, 123u);
-  EXPECT_STREQ(events[0].relation, "alpha");
-  for (size_t i = 1; i < events.size(); ++i) {
-    EXPECT_LT(events[i - 1].seq, events[i].seq);
-    EXPECT_LE(events[i - 1].ts_ns, events[i].ts_ns);
-  }
-
-  // Overflow the capacity-4 ring: only the newest 4 survive, still ordered.
-  for (int i = 0; i < 10; ++i) {
-    trace.Record(ForgeEventKind::kRetried, "beta");
-  }
-  events = trace.Snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(trace.total_recorded(), 13u);
-  for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].seq, 9u + i);
-    EXPECT_STREQ(events[i].relation, "beta");
-  }
-}
-
-TEST(EventTrace, TruncatesLongRelationNames) {
-  EventTrace trace(4);
-  trace.Record(ForgeEventKind::kQueued,
-               "a_very_long_relation_name_that_exceeds_the_buffer");
-  std::vector<ForgeEvent> events = trace.Snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(std::string(events[0].relation).size(),
-            sizeof(events[0].relation) - 1);
-}
-
-/// Integration: a real forge run must trace queued -> started -> succeeded
-/// in that order for each relation.
-TEST(EventTrace, ForgeLifecycleOrdering) {
-  if (!bee::NativeJit::CompilerAvailable()) {
-    GTEST_SKIP() << "no C compiler on this host";
-  }
-  telemetry::EventTrace* trace =
-      telemetry::Registry::Global().forge_trace();
-  uint64_t seq_before = trace->total_recorded();
-  ScratchDir dir;
-  auto db = OpenDb(dir.path() + "/db", /*enable_bees=*/true,
-                   /*tuple_bees=*/false, bee::BeeBackend::kNative);
-  ASSERT_OK(tpch::CreateTpchTables(db.get()));
-  db->QuiesceBees();
-
-  // Only this test's events (other tests share the global trace).
-  std::vector<ForgeEvent> events;
-  for (const ForgeEvent& ev : trace->Snapshot()) {
-    if (ev.seq >= seq_before) events.push_back(ev);
-  }
-  std::map<std::string, std::vector<ForgeEventKind>> by_relation;
-  for (const ForgeEvent& ev : events) {
-    by_relation[ev.relation].push_back(ev.kind);
-  }
-  EXPECT_EQ(by_relation.size(), 8u);  // the 8 TPC-H relations
-  for (const auto& [relation, kinds] : by_relation) {
-    ASSERT_EQ(kinds.size(), 3u) << relation;
-    EXPECT_EQ(kinds[0], ForgeEventKind::kQueued) << relation;
-    EXPECT_EQ(kinds[1], ForgeEventKind::kStarted) << relation;
-    EXPECT_EQ(kinds[2], ForgeEventKind::kSucceeded) << relation;
-  }
 }
 
 /// --- snapshot serialization -------------------------------------------------

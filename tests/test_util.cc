@@ -39,6 +39,16 @@ std::unique_ptr<Database> OpenDb(const std::string& dir, bool enable_bees,
   return res.MoveValue();
 }
 
+std::vector<trace::Span> LaneSpansSince(uint64_t since_ns) {
+  std::vector<trace::Span> out;
+  for (const auto& t : trace::Tracer::Background().Recent()) {
+    for (trace::Span& s : t->Snapshot()) {
+      if (s.start_ns >= since_ns) out.push_back(std::move(s));
+    }
+  }
+  return out;
+}
+
 std::vector<std::string> CollectRows(Operator* op) {
   std::vector<std::string> rows;
   Status st = ForEachRow(op, [&](const Datum* v, const bool* n) {

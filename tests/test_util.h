@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/tracing.h"
 #include "engine/database.h"
 #include "storage/tuple.h"
 
@@ -48,6 +49,10 @@ std::unique_ptr<Database> OpenDb(const std::string& dir, bool enable_bees,
                                  bool tuple_bees = false,
                                  bee::BeeBackend backend =
                                      bee::BeeBackend::kProgram);
+
+/// Background-lane spans (trace::Tracer::Background()) that started at or
+/// after `since_ns`, in recording order.
+std::vector<trace::Span> LaneSpansSince(uint64_t since_ns);
 
 /// Collects every row of `op` as strings for easy comparison: each Datum is
 /// rendered by type ("NULL" for nulls).

@@ -7,18 +7,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bee/native_jit.h"
 #include "common/telemetry.h"
 #include "common/tracing.h"
 #include "sqlfe/engine.h"
 #include "test_util.h"
+#include "workloads/tpch/tpch_schema.h"
 
 namespace microspec {
 namespace {
@@ -456,13 +460,26 @@ TEST(SlowQueryLog, CapturesOverThresholdWithAnalyzeTree) {
   std::vector<trace::SlowQuery> log = db->tracer()->SlowLog();
   ASSERT_FALSE(log.empty());
   const trace::SlowQuery& slow = log.back();
-  EXPECT_EQ(slow.sql, "SELECT a FROM t WHERE a < 10");
+  ASSERT_NE(slow.trace, nullptr);
+  const trace::Trace& t = *slow.trace;
+  EXPECT_EQ(t.sql(), "SELECT a FROM t WHERE a < 10");
   EXPECT_GT(slow.total_ns, 0u);
-  EXPECT_GT(slow.exec_ns, 0u);
-  EXPECT_GE(slow.total_ns, slow.parse_ns + slow.plan_ns + slow.exec_ns);
-  // The auto-attached EXPLAIN ANALYZE tree shows the plan operators.
-  EXPECT_NE(slow.analyze.find("SeqScan"), std::string::npos) << slow.analyze;
-  EXPECT_NE(slow.analyze.find("Filter"), std::string::npos) << slow.analyze;
+  // Phase totals come from the referenced trace.
+  const uint64_t parse_ns = t.TotalNs(trace::SpanKind::kParse);
+  const uint64_t plan_ns = t.TotalNs(trace::SpanKind::kPlan);
+  const uint64_t exec_ns = t.TotalNs(trace::SpanKind::kExec);
+  EXPECT_GT(parse_ns, 0u);
+  EXPECT_GT(exec_ns, 0u);
+  EXPECT_GE(slow.total_ns, parse_ns + plan_ns + exec_ns);
+  // So do the plan operators: one started span each.
+  std::vector<std::string> ops;
+  for (const trace::Span& s : t.Snapshot()) {
+    if (s.kind == trace::SpanKind::kOperator && s.start_ns != 0) {
+      ops.push_back(s.name);
+    }
+  }
+  EXPECT_NE(std::find(ops.begin(), ops.end(), "SeqScan(t)"), ops.end());
+  EXPECT_NE(std::find(ops.begin(), ops.end(), "Filter"), ops.end());
 
   // A threshold far above any test query: no new entries.
   const size_t before = db->tracer()->SlowLog().size();
@@ -477,14 +494,14 @@ TEST(SlowQueryLog, CapacityBoundsEntries) {
   trace::Tracer tracer(opts);
   for (int i = 0; i < 10; ++i) {
     trace::SlowQuery q;
-    q.trace_id = static_cast<uint64_t>(i);
     q.total_ns = 1;
+    q.trace = std::make_shared<trace::Trace>(static_cast<uint64_t>(i));
     tracer.RecordSlow(std::move(q));
   }
   std::vector<trace::SlowQuery> log = tracer.SlowLog();
   ASSERT_EQ(log.size(), 3u);
-  EXPECT_EQ(log[0].trace_id, 7u);
-  EXPECT_EQ(log[2].trace_id, 9u);
+  EXPECT_EQ(log[0].trace->trace_id(), 7u);
+  EXPECT_EQ(log[2].trace->trace_id(), 9u);
 }
 
 /// --- Rendering ---------------------------------------------------------------------
@@ -502,6 +519,127 @@ TEST(TraceRender, TreeShowsIndentedSpans) {
   EXPECT_NE(tree.find("exec"), std::string::npos);
   EXPECT_NE(tree.find("  "), std::string::npos);  // children are indented
   EXPECT_NE(tree.find("SELECT a FROM t WHERE a < 5"), std::string::npos);
+}
+
+TEST(TraceRender, UnstartedOperatorSpanHasEmptyWindow) {
+  // A statement that failed during execution leaves operator spans that
+  // NewOpSpan registered but whose operator never reached Init.
+  trace::Trace t(/*trace_id=*/1);
+  const uint32_t stmt = t.AddComplete(0, trace::SpanKind::kStatement, "select",
+                                      1'000'000, 3'000'000);
+  t.NewOpSpan(/*node_id=*/0, "SeqScan(t)", {});
+  t.SetDefaultParent(stmt);
+  const std::string tree = trace::RenderTraceTree(t);
+  std::vector<std::string> lines;
+  for (size_t pos = 0, nl; (nl = tree.find('\n', pos)) != std::string::npos;
+       pos = nl + 1) {
+    lines.push_back(tree.substr(pos, nl - pos));
+  }
+  auto cells = [](const std::string& line) {
+    std::vector<std::string> out;
+    std::istringstream in(line);
+    for (std::string cell; in >> cell;) out.push_back(cell);
+    return out;
+  };
+  ASSERT_EQ(lines.size(), 5u) << tree;  // title, header, rule, two spans
+  EXPECT_EQ(cells(lines[3]),
+            (std::vector<std::string>{"select", "statement", "0.000", "2.000",
+                                      std::to_string(trace::ThreadOrdinal())}))
+      << tree;
+  // Name, kind and tid only: no start, duration, rows or aux.
+  EXPECT_EQ(cells(lines[4]),
+            (std::vector<std::string>{"SeqScan(t)", "operator", "0"}))
+      << tree;
+}
+
+/// --- Background lane ------------------------------------------------------------
+/// Last in the file: these tests fill the process-wide lane, which every
+/// Tracer::ChromeTraceJson() appends.
+
+TEST(BackgroundLane, KeepsNewestSpansUpToCap) {
+  constexpr size_t kCap =
+      trace::kBackgroundTraces * trace::kBackgroundTraceSpans;
+  constexpr size_t kRecorded = kCap + trace::kBackgroundTraceSpans / 2 + 3;
+  const uint64_t now = telemetry::NowNs();
+  for (size_t i = 0; i < kRecorded; ++i) {
+    trace::RecordEvent("bound-test", std::to_string(i), now, now);
+  }
+  size_t total = 0;
+  std::vector<size_t> kept;
+  for (const auto& t : trace::Tracer::Background().Recent()) {
+    for (const trace::Span& s : t->Snapshot()) {
+      ++total;
+      if (s.name.rfind("bound-test ", 0) == 0) {
+        kept.push_back(std::stoul(s.name.substr(11)));
+      }
+    }
+  }
+  EXPECT_LE(total, kCap);
+  // The survivors are the newest events, oldest first, with no gaps: at
+  // least every full trace but the one evicted last.
+  ASSERT_GE(kept.size(), kCap - trace::kBackgroundTraceSpans);
+  EXPECT_EQ(kept.back(), kRecorded - 1);
+  for (size_t i = 1; i < kept.size(); ++i) {
+    EXPECT_EQ(kept[i], kept[i - 1] + 1);
+  }
+}
+
+/// A real forge run records queued -> started -> succeeded, in that order,
+/// for each relation.
+TEST(BackgroundLane, ForgeLifecycleOrdering) {
+  if (!bee::NativeJit::CompilerAvailable()) {
+    GTEST_SKIP() << "no C compiler on this host";
+  }
+  const uint64_t start_ns = telemetry::NowNs();
+  ScratchDir dir;
+  auto db = testing::OpenDb(dir.path() + "/db", /*enable_bees=*/true,
+                            /*tuple_bees=*/false, bee::BeeBackend::kNative);
+  ASSERT_OK(tpch::CreateTpchTables(db.get()));
+  db->QuiesceBees();
+
+  std::map<std::string, std::vector<std::string>> by_relation;
+  for (const trace::Span& s : testing::LaneSpansSince(start_ns)) {
+    const size_t space = s.name.find(' ');
+    ASSERT_NE(space, std::string::npos) << s.name;
+    by_relation[s.name.substr(space + 1)].push_back(s.name.substr(0, space));
+  }
+  EXPECT_EQ(by_relation.size(), 8u);  // the 8 TPC-H relations
+  for (const auto& [relation, events] : by_relation) {
+    EXPECT_EQ(events, (std::vector<std::string>{"queued", "started",
+                                                "succeeded"}))
+        << relation;
+  }
+}
+
+/// /trace shows the lane: forge and shared-cache lifecycle spans land in
+/// every tracer's Chrome export as pid 0, category "event".
+TEST(BackgroundLane, ChromeJsonCarriesLifecycleSpans) {
+  const bool native = bee::NativeJit::CompilerAvailable();
+  ScratchDir dir;
+  DatabaseOptions opts;
+  opts.dir = dir.path() + "/db";
+  opts.enable_bees = true;
+  opts.verify_mode = bee::VerifyMode::kEnforce;
+  opts.share_query_bees = true;
+  if (native) opts.backend = bee::BeeBackend::kNative;
+  auto res = Database::Open(std::move(opts));
+  ASSERT_OK(res.status());
+  std::unique_ptr<Database> db = res.MoveValue();
+  std::unique_ptr<ExecContext> ctx = db->MakeContext();
+  LoadInts(db.get(), ctx.get(), "lane_t", 20);
+  db->QuiesceBees();
+  MustSql(db.get(), ctx.get(), "SELECT a FROM lane_t WHERE b = 3");
+
+  const std::string json = db->tracer()->ChromeTraceJson();
+  EXPECT_TRUE(JsonScanner(json).Valid()) << json.substr(0, 2000);
+  EXPECT_NE(json.find("\"name\":\"queued evp:"), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"succeeded evp:"), std::string::npos);
+  EXPECT_NE(json.find("\"cat\":\"event\""), std::string::npos);
+  EXPECT_NE(json.find("\"pid\":0,"), std::string::npos);
+  if (native) {
+    EXPECT_NE(json.find("\"name\":\"queued lane_t\""), std::string::npos);
+    EXPECT_NE(json.find("\"name\":\"succeeded lane_t\""), std::string::npos);
+  }
 }
 
 }  // namespace

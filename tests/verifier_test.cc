@@ -641,7 +641,7 @@ TEST(BeeVerifier, WarnModeRoutesRejectsThroughTelemetry) {
   telemetry::Registry& reg = telemetry::Registry::Global();
   uint64_t before =
       reg.GetCounter("microspec_bee_verify_rejects_total")->Value();
-  uint64_t events_before = reg.forge_trace()->total_recorded();
+  const uint64_t start_ns = telemetry::NowNs();
   // Warn mode: the install proceeds (non-null bee) but the rejection is
   // counted and traced instead of written to stderr.
   auto b = bee::TrySpecializePredicateChecked(*e, &arena, true, &meta,
@@ -649,13 +649,14 @@ TEST(BeeVerifier, WarnModeRoutesRejectsThroughTelemetry) {
   EXPECT_NE(b, nullptr);
   EXPECT_EQ(reg.GetCounter("microspec_bee_verify_rejects_total")->Value(),
             before + 1);
-  EXPECT_GT(reg.forge_trace()->total_recorded(), events_before);
-  std::vector<telemetry::ForgeEvent> events = reg.forge_trace()->Snapshot();
-  ASSERT_FALSE(events.empty());
-  const telemetry::ForgeEvent& ev = events.back();
-  EXPECT_EQ(ev.kind, telemetry::ForgeEventKind::kVerifyRejected);
-  EXPECT_STREQ(ev.relation, "query:evp");
-  EXPECT_NE(std::string(ev.detail).find("evp"), std::string::npos);
+  // The trace record is one background-lane span naming family and subject.
+  std::vector<std::string> rejects;
+  for (const trace::Span& s : testing::LaneSpansSince(start_ns)) {
+    if (s.name.rfind("verify-rejected ", 0) == 0) rejects.push_back(s.name);
+  }
+  ASSERT_EQ(rejects.size(), 1u);
+  EXPECT_EQ(rejects[0].rfind("verify-rejected evp: query:evp: ", 0), 0u)
+      << rejects[0];
   // Enforce mode on the same predicate refuses the install and counts again.
   EXPECT_EQ(bee::TrySpecializePredicateChecked(*e, &arena, true, &meta,
                                                bee::VerifyMode::kEnforce),
