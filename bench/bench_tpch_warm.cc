@@ -7,8 +7,10 @@
 // when off: the full query suite is timed with telemetry off and on, then
 // with tracing off and on (full per-query span trees and column sketches),
 // each pair interleaved, and the run fails if either OFF path is more than
-// MICROSPEC_GATE_TOL_PCT (default 2) percent slower than its ON path.
-// Retried a few times to damp scheduler noise; wired into scripts/check.sh.
+// kTraceGateTolPct (2) percent slower than its ON path. With --batch-gate it
+// fails if the page-batched warm scan is more than kBatchGateTolPct (5)
+// percent slower than the scalar pipeline. Both gates retry a few times to
+// damp scheduler noise; both are wired into scripts/check.sh.
 
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +30,10 @@ namespace {
 using benchutil::BenchEnv;
 using benchutil::ImprovementPct;
 using benchutil::RunTpchQuery;
+
+/// Gate tolerances: how much slower (percent) the checked path may be.
+constexpr double kBatchGateTolPct = 5.0;
+constexpr double kTraceGateTolPct = 2.0;
 
 void Run(int argc, char** argv) {
   BenchEnv env;
@@ -237,8 +243,9 @@ void RunBatchSweep(int argc, char** argv) {
 
 /// --batch-gate: fails (exit 1) if the batched (full-page) warm scan is
 /// consistently slower than the scalar row-at-a-time pipeline on the same
-/// build — batching must never cost throughput. Interleaved and retried
-/// like the trace gate; wired into scripts/check.sh.
+/// build (by more than kBatchGateTolPct percent) — batching must never cost
+/// throughput. Interleaved and retried like the trace gate; wired into
+/// scripts/check.sh.
 int RunBatchGate() {
   BenchEnv env;
   benchutil::PrintHeader(
@@ -247,12 +254,6 @@ int RunBatchGate() {
   bee->QuiesceBees();
   TableInfo* lineitem = bee->catalog()->GetTable("lineitem");
   MICROSPEC_CHECK(lineitem != nullptr);
-
-  double tol_pct = 5.0;
-  const char* tol_env = std::getenv("MICROSPEC_GATE_TOL_PCT");
-  if (tol_env != nullptr && std::atof(tol_env) > 0) {
-    tol_pct = std::atof(tol_env);
-  }
 
   auto warm_scan = [&](int batch_rows) {
     auto ctx = bee->MakeContext();
@@ -277,8 +278,8 @@ int RunBatchGate() {
     std::printf("attempt %d: scalar %.2f ms, batched %.2f ms (%.2fx, "
                 "tolerance %.1f%%)\n",
                 attempt, t_scalar * 1e3, t_batch * 1e3,
-                t_batch > 0 ? t_scalar / t_batch : 0, tol_pct);
-    if (t_batch <= t_scalar * (1.0 + tol_pct / 100.0)) {
+                t_batch > 0 ? t_scalar / t_batch : 0, kBatchGateTolPct);
+    if (t_batch <= t_scalar * (1.0 + kBatchGateTolPct / 100.0)) {
       std::printf("batch gate PASS\n");
       return 0;
     }
@@ -296,22 +297,16 @@ int RunBatchGate() {
 ///     runs) vs the same suite with a forced trace installed on every query
 ///     context plus workload-stats collection, i.e. full per-query span
 ///     trees and per-column sketches.
-/// OFF must not be slower than ON by more than MICROSPEC_GATE_TOL_PCT
-/// (default 2) percent: tracing's off-path residue is one null test on
-/// per-query paths and one thread-local load on stall paths. Each check is
-/// interleaved (off,on,off,on) and gets up to three attempts — a real
-/// always-on cost fails every attempt. Wired into scripts/check.sh.
+/// OFF must not be slower than ON by more than kTraceGateTolPct percent:
+/// tracing's off-path residue is one null test on per-query paths and one
+/// thread-local load on stall paths. Each check is interleaved
+/// (off,on,off,on) and gets up to three attempts — a real always-on cost
+/// fails every attempt. Wired into scripts/check.sh.
 int RunTraceGate() {
   BenchEnv env;
   benchutil::PrintHeader("Trace gate: telemetry-off and sampling-off must "
                          "stay free", env);
   auto db = benchutil::MakeTpchDb(env, "gate", true, true);
-
-  double tol_pct = 2.0;
-  const char* tol_env = std::getenv("MICROSPEC_GATE_TOL_PCT");
-  if (tol_env != nullptr && std::atof(tol_env) > 0) {
-    tol_pct = std::atof(tol_env);
-  }
 
   auto run_off = [&] {
     for (int q = 1; q <= tpch::kNumTpchQueries; ++q) {
@@ -371,8 +366,8 @@ int RunTraceGate() {
       std::printf("%s attempt %d: off %.2f ms, on %.2f ms (off-on delta "
                   "%+.2f%%, tolerance %.1f%%)\n",
                   check.instrument, attempt, t_off * 1e3, t_on * 1e3,
-                  delta_pct, tol_pct);
-      ok = t_off <= t_on * (1.0 + tol_pct / 100.0);
+                  delta_pct, kTraceGateTolPct);
+      ok = t_off <= t_on * (1.0 + kTraceGateTolPct / 100.0);
     }
     std::printf("%s gate %s\n", check.instrument,
                 ok ? "PASS"

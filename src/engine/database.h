@@ -45,8 +45,6 @@ struct DatabaseOptions {
   /// operator trees this engine always built — no executor pool is even
   /// created.
   int dop = 1;
-  /// Pages per morsel for parallel scans; 0 => kDefaultMorselPages.
-  uint32_t morsel_pages = 0;
   /// Rows per execution batch (DESIGN.md "Batch execution"). 0 (the
   /// default) keeps the row-at-a-time Next() pipeline; > 0 drives the
   /// NextBatch() path and enables the GCL-B/EVP-B batch bees. Clamped to
@@ -162,7 +160,7 @@ class Database {
                                            int dop) {
     auto ctx =
         std::make_unique<ExecContext>(catalog_.get(), bees_.get(), opts);
-    if (dop > 1) ctx->set_parallel(Executor(dop), dop, options_.morsel_pages);
+    if (dop > 1) ctx->set_parallel(Executor(dop), dop, /*morsel_pages=*/0);
     ctx->set_batch(options_.batch_rows);
     if (options_.share_query_bees) ctx->set_shared_bees(&shared_bees_);
     // Traces are per-statement (installed by sqlfe/server when sampled);

@@ -25,81 +25,35 @@ ColMeta AggOutputMeta(const AggSpec& spec, const ColMeta& arg_meta) {
   return ColMeta::Of(TypeId::kInt64);
 }
 
-/// Monomorphized aggregate-update kernels (the aggregation bee's
-/// pre-compiled variants). One instantiation per (kind x argument type);
-/// the attribute number arrives patched in from the kernel context.
-void SumFloatKernel(HashAggregate::AggState& st, const Datum* v,
-                    const bool* n, int attno) {
-  if (n != nullptr && n[attno]) return;
-  st.fsum += DatumToFloat64(v[attno]);
-  ++st.count;
-}
-void SumIntKernel(HashAggregate::AggState& st, const Datum* v, const bool* n,
-                  int attno) {
-  if (n != nullptr && n[attno]) return;
-  st.isum += DatumToInt64(v[attno]);
-  ++st.count;
-}
-void CountKernel(HashAggregate::AggState& st, const Datum* v, const bool* n,
-                 int attno) {
-  (void)v;
-  if (n != nullptr && n[attno]) return;
-  ++st.count;
-}
-void CountStarKernel(HashAggregate::AggState& st, const Datum*, const bool*,
-                     int) {
-  ++st.count;
-}
-template <bool kMin>
-void ExtremeFloatKernel(HashAggregate::AggState& st, const Datum* v,
-                        const bool* n, int attno) {
-  if (n != nullptr && n[attno]) return;
-  double x = DatumToFloat64(v[attno]);
-  if (!st.has_value ||
-      (kMin ? x < DatumToFloat64(st.extreme) : x > DatumToFloat64(st.extreme))) {
-    st.extreme = DatumFromFloat64(x);
-    st.has_value = true;
-  }
-}
-template <bool kMin>
-void ExtremeIntKernel(HashAggregate::AggState& st, const Datum* v,
-                      const bool* n, int attno) {
-  if (n != nullptr && n[attno]) return;
-  int64_t x = DatumToInt64(v[attno]);
-  if (!st.has_value ||
-      (kMin ? x < DatumToInt64(st.extreme) : x > DatumToInt64(st.extreme))) {
-    st.extreme = DatumFromInt64(x);
-    st.has_value = true;
-  }
-}
-
 bool IsIntKind(TypeId t) {
   return t == TypeId::kBool || t == TypeId::kInt32 || t == TypeId::kInt64 ||
          t == TypeId::kDate;
 }
 
-/// Value-form update kernels for batch accumulation: one column cell in,
-/// no row pointer. Only by-value argument types get one, so storing the
-/// extreme Datum directly (no arena copy) is always safe.
-void SumFloatColKernel(HashAggregate::AggState& st, Datum v, bool n) {
+/// Monomorphized aggregate-update kernels (the aggregation bee's
+/// pre-compiled variants, also run by batch accumulation). One
+/// instantiation per (kind x argument type); one argument cell in. Only
+/// by-value argument types get one, so storing the extreme Datum directly
+/// (no arena copy) is always safe.
+void SumFloatKernel(HashAggregate::AggState& st, Datum v, bool n) {
   if (n) return;
   st.fsum += DatumToFloat64(v);
   ++st.count;
 }
-void SumIntColKernel(HashAggregate::AggState& st, Datum v, bool n) {
+void SumIntKernel(HashAggregate::AggState& st, Datum v, bool n) {
   if (n) return;
   st.isum += DatumToInt64(v);
   ++st.count;
 }
-void CountColKernel(HashAggregate::AggState& st, Datum, bool n) {
+void CountKernel(HashAggregate::AggState& st, Datum, bool n) {
   if (n) return;
   ++st.count;
 }
-void CountStarColKernel(HashAggregate::AggState& st, Datum, bool) {
+void CountStarKernel(HashAggregate::AggState& st, Datum, bool) {
   ++st.count;
 }
 template <bool kMin>
-void ExtremeFloatColKernel(HashAggregate::AggState& st, Datum v, bool n) {
+void ExtremeFloatKernel(HashAggregate::AggState& st, Datum v, bool n) {
   if (n) return;
   double x = DatumToFloat64(v);
   if (!st.has_value ||
@@ -109,7 +63,7 @@ void ExtremeFloatColKernel(HashAggregate::AggState& st, Datum v, bool n) {
   }
 }
 template <bool kMin>
-void ExtremeIntColKernel(HashAggregate::AggState& st, Datum v, bool n) {
+void ExtremeIntKernel(HashAggregate::AggState& st, Datum v, bool n) {
   if (n) return;
   int64_t x = DatumToInt64(v);
   if (!st.has_value ||
@@ -121,76 +75,20 @@ void ExtremeIntColKernel(HashAggregate::AggState& st, Datum v, bool n) {
 
 }  // namespace
 
-void HashAggregate::BuildAggKernels() {
+void HashAggregate::BuildKernels() {
   kernels_.clear();
+  all_kernels_ = true;
   for (size_t i = 0; i < aggs_.size(); ++i) {
-    AggKernel k;
+    Kernel k;
     const AggSpec& spec = aggs_[i];
     if (spec.kind == AggKind::kCountStar) {
       k.fn = CountStarKernel;
       kernels_.push_back(k);
       continue;
     }
-    // Only bare outer-column arguments qualify; anything else falls back to
-    // the generic update for that spec (as with EVP's unsupported shapes).
-    if (spec.arg->kind() != ExprKind::kVar) {
-      kernels_.push_back(k);
-      continue;
-    }
-    const auto& var = static_cast<const VarExpr&>(*spec.arg);
-    if (var.side() != RowSide::kOuter) {
-      kernels_.push_back(k);
-      continue;
-    }
-    k.attno = var.attno();
-    bool is_float = agg_arg_meta_[i].type == TypeId::kFloat64;
-    bool is_int = IsIntKind(agg_arg_meta_[i].type);
-    switch (spec.kind) {
-      case AggKind::kCount:
-        k.fn = CountKernel;
-        break;
-      case AggKind::kSum:
-      case AggKind::kAvg:
-        if (is_float) {
-          k.fn = SumFloatKernel;
-        } else if (is_int) {
-          k.fn = SumIntKernel;
-        }
-        break;
-      case AggKind::kMin:
-        if (is_float) {
-          k.fn = ExtremeFloatKernel<true>;
-        } else if (is_int) {
-          k.fn = ExtremeIntKernel<true>;
-        }
-        break;
-      case AggKind::kMax:
-        if (is_float) {
-          k.fn = ExtremeFloatKernel<false>;
-        } else if (is_int) {
-          k.fn = ExtremeIntKernel<false>;
-        }
-        break;
-      default:
-        break;
-    }
-    kernels_.push_back(k);
-  }
-}
-
-void HashAggregate::BuildColKernels() {
-  col_kernels_.clear();
-  batch_all_kernels_ = true;
-  for (size_t i = 0; i < aggs_.size(); ++i) {
-    AggColKernel k;
-    const AggSpec& spec = aggs_[i];
-    if (spec.kind == AggKind::kCountStar) {
-      k.fn = CountStarColKernel;
-      col_kernels_.push_back(k);
-      continue;
-    }
-    // Same qualification rule as the agg bee's kernels: bare outer columns
-    // of by-value type; everything else gathers the row per update.
+    // Only bare outer-column arguments of by-value type qualify; anything
+    // else uses the generic fold for that spec (as with EVP's unsupported
+    // shapes).
     if (spec.arg->kind() == ExprKind::kVar) {
       const auto& var = static_cast<const VarExpr&>(*spec.arg);
       if (var.side() == RowSide::kOuter) {
@@ -199,28 +97,28 @@ void HashAggregate::BuildColKernels() {
         bool is_int = IsIntKind(agg_arg_meta_[i].type);
         switch (spec.kind) {
           case AggKind::kCount:
-            k.fn = CountColKernel;
+            k.fn = CountKernel;
             break;
           case AggKind::kSum:
           case AggKind::kAvg:
             if (is_float) {
-              k.fn = SumFloatColKernel;
+              k.fn = SumFloatKernel;
             } else if (is_int) {
-              k.fn = SumIntColKernel;
+              k.fn = SumIntKernel;
             }
             break;
           case AggKind::kMin:
             if (is_float) {
-              k.fn = ExtremeFloatColKernel<true>;
+              k.fn = ExtremeFloatKernel<true>;
             } else if (is_int) {
-              k.fn = ExtremeIntColKernel<true>;
+              k.fn = ExtremeIntKernel<true>;
             }
             break;
           case AggKind::kMax:
             if (is_float) {
-              k.fn = ExtremeFloatColKernel<false>;
+              k.fn = ExtremeFloatKernel<false>;
             } else if (is_int) {
-              k.fn = ExtremeIntColKernel<false>;
+              k.fn = ExtremeIntKernel<false>;
             }
             break;
           default:
@@ -228,58 +126,9 @@ void HashAggregate::BuildColKernels() {
         }
       }
     }
-    if (k.fn == nullptr) batch_all_kernels_ = false;
-    col_kernels_.push_back(k);
+    if (k.fn == nullptr) all_kernels_ = false;
+    kernels_.push_back(k);
   }
-}
-
-void HashAggregate::UpdateWithKernels(Group* g, const ExecRow& row) {
-  uint64_t ops = 0;
-  for (size_t i = 0; i < kernels_.size(); ++i) {
-    const AggKernel& k = kernels_[i];
-    ops += 2;  // the bee's whole per-aggregate cost
-    if (k.fn != nullptr) {
-      k.fn(g->states[i], row.values, row.isnull, k.attno);
-      continue;
-    }
-    // Fallback: the generic path for this one spec.
-    AggState& st = g->states[i];
-    const AggSpec& spec = aggs_[i];
-    bool isnull = false;
-    Datum v = spec.arg->Eval(row, &isnull);
-    if (isnull) continue;
-    switch (spec.kind) {
-      case AggKind::kSum:
-      case AggKind::kAvg:
-        if (ArgIsFloat(agg_arg_meta_[i])) {
-          st.fsum += DatumToFloat64(v);
-        } else {
-          st.isum += DatumToInt64(v);
-        }
-        ++st.count;
-        break;
-      case AggKind::kCount:
-        ++st.count;
-        break;
-      case AggKind::kMin:
-      case AggKind::kMax: {
-        if (!st.has_value) {
-          st.extreme = CopyDatum(&arena_, v, agg_arg_meta_[i]);
-          st.has_value = true;
-          break;
-        }
-        int c = DatumCompareGeneric(v, st.extreme, agg_arg_meta_[i]);
-        if ((spec.kind == AggKind::kMin && c < 0) ||
-            (spec.kind == AggKind::kMax && c > 0)) {
-          st.extreme = CopyDatum(&arena_, v, agg_arg_meta_[i]);
-        }
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  workops::Bump(ops);
 }
 
 HashAggregate::HashAggregate(ExecContext* ctx, OperatorPtr child,
@@ -299,6 +148,7 @@ HashAggregate::HashAggregate(ExecContext* ctx, OperatorPtr child,
     agg_arg_meta_.push_back(am);
     meta_.push_back(AggOutputMeta(a, am));
   }
+  BuildKernels();
 }
 
 Status HashAggregate::Init() {
@@ -313,8 +163,96 @@ Status HashAggregate::Init() {
   values_ = values_buf_.data();
   isnull_ = isnull_buf_.get();
   use_kernels_ = ctx_->options().enable_agg_bee;
-  if (use_kernels_) BuildAggKernels();
   return child_->Init();
+}
+
+template <typename KeyAt>
+uint64_t HashAggregate::HashKeys(const KeyAt& key_at) const {
+  // Generic: per-key type dispatch.
+  uint64_t h = 0;
+  for (size_t i = 0; i < group_cols_.size(); ++i) {
+    workops::Bump(2);
+    bool isnull = false;
+    Datum v = key_at(i, &isnull);
+    if (isnull) continue;
+    h = DatumHashGeneric(v, group_meta_[i], h);
+  }
+  return h;
+}
+
+template <bool kCharged, typename KeyAt>
+HashAggregate::Group* HashAggregate::FindOrCreateGroup(uint64_t h,
+                                                       const KeyAt& key_at) {
+  const size_t nkeys = group_cols_.size();
+  Group* g = buckets_[h & bucket_mask_];
+  while (g != nullptr) {
+    if constexpr (kCharged) workops::Bump(2);
+    if (g->hash == h) {
+      bool eq = true;
+      for (size_t i = 0; i < nkeys; ++i) {
+        bool rn = false;
+        Datum v = key_at(i, &rn);
+        if (rn != g->keynull[i] ||
+            (!rn && !DatumEqualsGeneric(v, g->keys[i], group_meta_[i]))) {
+          eq = false;
+          break;
+        }
+      }
+      if (eq) return g;
+    }
+    g = g->next;
+  }
+  g = static_cast<Group*>(arena_.Allocate(sizeof(Group), alignof(Group)));
+  g->hash = h;
+  g->keys = static_cast<Datum*>(
+      arena_.Allocate(sizeof(Datum) * (nkeys == 0 ? 1 : nkeys), 8));
+  g->keynull = static_cast<bool*>(arena_.Allocate(nkeys == 0 ? 1 : nkeys, 1));
+  for (size_t i = 0; i < nkeys; ++i) {
+    Datum v = key_at(i, &g->keynull[i]);
+    g->keys[i] = g->keynull[i] ? 0 : CopyDatum(&arena_, v, group_meta_[i]);
+  }
+  g->states = static_cast<AggState*>(arena_.Allocate(
+      sizeof(AggState) * (aggs_.empty() ? 1 : aggs_.size()),
+      alignof(AggState)));
+  for (size_t i = 0; i < aggs_.size(); ++i) g->states[i] = AggState{};
+  g->next = buckets_[h & bucket_mask_];
+  buckets_[h & bucket_mask_] = g;
+  groups_.push_back(g);
+  return g;
+}
+
+// inline: the generic update runs it per aggregate per row.
+inline void HashAggregate::FoldValue(AggState& st, size_t i, Datum v) {
+  const AggKind kind = aggs_[i].kind;
+  switch (kind) {
+    case AggKind::kCountStar:
+    case AggKind::kCount:
+      ++st.count;
+      break;
+    case AggKind::kSum:
+    case AggKind::kAvg:
+      if (ArgIsFloat(agg_arg_meta_[i])) {
+        st.fsum += DatumToFloat64(v);
+      } else {
+        st.isum += DatumToInt64(v);
+      }
+      ++st.count;
+      break;
+    case AggKind::kMin:
+    case AggKind::kMax: {
+      if (!st.has_value) {
+        st.extreme = CopyDatum(&arena_, v, agg_arg_meta_[i]);
+        st.has_value = true;
+        break;
+      }
+      int c = DatumCompareGeneric(v, st.extreme, agg_arg_meta_[i]);
+      if ((kind == AggKind::kMin && c < 0) ||
+          (kind == AggKind::kMax && c > 0)) {
+        st.extreme = CopyDatum(&arena_, v, agg_arg_meta_[i]);
+      }
+      break;
+    }
+  }
 }
 
 void HashAggregate::UpdateGeneric(Group* g, const ExecRow& row) {
@@ -331,66 +269,53 @@ void HashAggregate::UpdateGeneric(Group* g, const ExecRow& row) {
     bool isnull = false;
     Datum v = spec.arg->Eval(row, &isnull);
     if (isnull) continue;  // SQL aggregates skip NULLs
-    switch (spec.kind) {
-      case AggKind::kCountStar:
-        break;
-      case AggKind::kCount:
-        ++st.count;
-        break;
-      case AggKind::kSum:
-      case AggKind::kAvg:
-        workops::Bump(3);  // argument-type dispatch
-        if (ArgIsFloat(agg_arg_meta_[i])) {
-          st.fsum += DatumToFloat64(v);
-        } else {
-          st.isum += DatumToInt64(v);
-        }
-        ++st.count;
-        break;
-      case AggKind::kMin:
-      case AggKind::kMax: {
-        workops::Bump(3);
-        if (!st.has_value) {
-          st.extreme = CopyDatum(&arena_, v, agg_arg_meta_[i]);
-          st.has_value = true;
-          break;
-        }
-        int c = DatumCompareGeneric(v, st.extreme, agg_arg_meta_[i]);
-        if ((spec.kind == AggKind::kMin && c < 0) ||
-            (spec.kind == AggKind::kMax && c > 0)) {
-          st.extreme = CopyDatum(&arena_, v, agg_arg_meta_[i]);
-        }
-        break;
-      }
-    }
+    if (spec.kind != AggKind::kCount) workops::Bump(3);  // arg-type dispatch
+    FoldValue(st, i, v);
   }
 }
 
-void HashAggregate::SynthesizeEmptyGlobalGroup() {
-  // Global aggregation over an empty input still yields one row.
-  if (!groups_.empty() || !group_cols_.empty()) return;
-  Group* g = static_cast<Group*>(arena_.Allocate(sizeof(Group), alignof(Group)));
-  g->hash = 0;
-  g->keys = nullptr;
-  g->keynull = nullptr;
-  g->states = static_cast<AggState*>(arena_.Allocate(
-      sizeof(AggState) * (aggs_.empty() ? 1 : aggs_.size()),
-      alignof(AggState)));
-  for (size_t i = 0; i < aggs_.size(); ++i) g->states[i] = AggState{};
-  // Chain into the table too so MergeFrom finds it: dop parallel partials
-  // over an empty input each synthesize this group, and the merge must
-  // collapse them into one output row, not dop of them.
-  g->next = buckets_[g->hash & bucket_mask_];
-  buckets_[g->hash & bucket_mask_] = g;
-  groups_.push_back(g);
+void HashAggregate::UpdateWithKernels(Group* g, const ExecRow& row) {
+  uint64_t ops = 0;
+  for (size_t i = 0; i < kernels_.size(); ++i) {
+    const Kernel& k = kernels_[i];
+    ops += 2;  // the bee's whole per-aggregate cost
+    if (k.fn != nullptr) {
+      if (k.attno < 0) {
+        k.fn(g->states[i], 0, false);
+      } else {
+        k.fn(g->states[i], row.values[k.attno],
+             row.isnull != nullptr && row.isnull[k.attno]);
+      }
+      continue;
+    }
+    // Fallback: the generic fold for this one spec.
+    bool isnull = false;
+    Datum v = aggs_[i].arg->Eval(row, &isnull);
+    if (!isnull) FoldValue(g->states[i], i, v);
+  }
+  workops::Bump(ops);
 }
 
 Status HashAggregate::Accumulate() {
-  if (ctx_->batch_rows() > 0 && child_->BatchCapable()) {
-    return AccumulateBatch();
+  MICROSPEC_RETURN_NOT_OK(ctx_->batch_rows() > 0 && child_->BatchCapable()
+                              ? AccumulateBatch()
+                              : AccumulateRows());
+  child_->Close();
+  // Global aggregation over an empty input still yields one row. It is
+  // chained into the table too so MergeFrom finds it: dop parallel partials
+  // over an empty input each create this group, and the merge must
+  // collapse them into one output row, not dop of them.
+  if (groups_.empty() && group_cols_.empty()) {
+    FindOrCreateGroup<false>(0, [](size_t, bool* isnull) {
+      *isnull = true;  // no key cells to read
+      return Datum{0};
+    });
   }
+  return Status::OK();
+}
+
+Status HashAggregate::AccumulateRows() {
   bool has_row = false;
-  const size_t nkeys = group_cols_.size();
   for (;;) {
     MICROSPEC_RETURN_NOT_OK(child_->Next(&has_row));
     if (!has_row) break;
@@ -398,70 +323,22 @@ Status HashAggregate::Accumulate() {
     const bool* cn = child_->isnull();
     ExecRow row{cv, cn, nullptr, nullptr};
     workops::Bump(8);  // agg-node dispatch per input row
-
-    // Hash the group key (generic: per-key type dispatch).
-    uint64_t h = 0;
-    for (size_t i = 0; i < nkeys; ++i) {
-      int c = group_cols_[i];
-      workops::Bump(2);
-      if (cn != nullptr && cn[c]) continue;
-      h = DatumHashGeneric(cv[c], group_meta_[i], h);
-    }
-
-    // Find or create the group.
-    Group* g = buckets_[h & bucket_mask_];
-    while (g != nullptr) {
-      workops::Bump(2);
-      if (g->hash == h) {
-        bool eq = true;
-        for (size_t i = 0; i < nkeys; ++i) {
-          int c = group_cols_[i];
-          bool rn = cn != nullptr && cn[c];
-          if (rn != g->keynull[i] ||
-              (!rn && !DatumEqualsGeneric(cv[c], g->keys[i], group_meta_[i]))) {
-            eq = false;
-            break;
-          }
-        }
-        if (eq) break;
-      }
-      g = g->next;
-    }
-    if (g == nullptr) {
-      g = static_cast<Group*>(arena_.Allocate(sizeof(Group), alignof(Group)));
-      g->hash = h;
-      g->keys = static_cast<Datum*>(
-          arena_.Allocate(sizeof(Datum) * (nkeys == 0 ? 1 : nkeys), 8));
-      g->keynull = static_cast<bool*>(
-          arena_.Allocate(nkeys == 0 ? 1 : nkeys, 1));
-      for (size_t i = 0; i < nkeys; ++i) {
-        int c = group_cols_[i];
-        g->keynull[i] = cn != nullptr && cn[c];
-        g->keys[i] =
-            g->keynull[i] ? 0 : CopyDatum(&arena_, cv[c], group_meta_[i]);
-      }
-      g->states = static_cast<AggState*>(arena_.Allocate(
-          sizeof(AggState) * (aggs_.empty() ? 1 : aggs_.size()),
-          alignof(AggState)));
-      for (size_t i = 0; i < aggs_.size(); ++i) g->states[i] = AggState{};
-      g->next = buckets_[h & bucket_mask_];
-      buckets_[h & bucket_mask_] = g;
-      groups_.push_back(g);
-    }
-
+    auto key_at = [&](size_t i, bool* isnull) {
+      const int c = group_cols_[i];
+      *isnull = cn != nullptr && cn[c];
+      return cv[c];
+    };
+    Group* g = FindOrCreateGroup<true>(HashKeys(key_at), key_at);
     if (use_kernels_) {
       UpdateWithKernels(g, row);
     } else {
       UpdateGeneric(g, row);
     }
   }
-  child_->Close();
-  SynthesizeEmptyGlobalGroup();
   return Status::OK();
 }
 
 Status HashAggregate::AccumulateBatch() {
-  const size_t nkeys = group_cols_.size();
   const int child_ncols = static_cast<int>(child_->output_meta().size());
   const int cap = ctx_->batch_rows();
   if (batch_ == nullptr || batch_->capacity() != cap ||
@@ -470,7 +347,6 @@ Status HashAggregate::AccumulateBatch() {
   }
   crow_values_.assign(static_cast<size_t>(child_ncols), 0);
   crow_isnull_ = std::make_unique<bool[]>(static_cast<size_t>(child_ncols));
-  BuildColKernels();
   for (;;) {
     MICROSPEC_RETURN_NOT_OK(child_->NextBatch(batch_.get()));
     const int nsel = batch_->selected();
@@ -479,67 +355,23 @@ Status HashAggregate::AccumulateBatch() {
     const int* sel = batch_->sel();
     for (int si = 0; si < nsel; ++si) {
       const int r = sel[si];
+      // Group keys hash and compare straight out of the column arrays.
+      auto key_at = [&](size_t i, bool* isnull) {
+        const int c = group_cols_[i];
+        *isnull = batch_->nulls(c)[r];
+        return batch_->col(c)[r];
+      };
+      Group* g = FindOrCreateGroup<true>(HashKeys(key_at), key_at);
 
-      // Hash the group key straight out of the column arrays.
-      uint64_t h = 0;
-      for (size_t i = 0; i < nkeys; ++i) {
-        int c = group_cols_[i];
-        workops::Bump(2);
-        if (batch_->nulls(c)[r]) continue;
-        h = DatumHashGeneric(batch_->col(c)[r], group_meta_[i], h);
-      }
-
-      // Find or create the group (column-array flavor of Accumulate's probe).
-      Group* g = buckets_[h & bucket_mask_];
-      while (g != nullptr) {
-        workops::Bump(2);
-        if (g->hash == h) {
-          bool eq = true;
-          for (size_t i = 0; i < nkeys; ++i) {
-            int c = group_cols_[i];
-            bool rn = batch_->nulls(c)[r];
-            if (rn != g->keynull[i] ||
-                (!rn && !DatumEqualsGeneric(batch_->col(c)[r], g->keys[i],
-                                            group_meta_[i]))) {
-              eq = false;
-              break;
-            }
-          }
-          if (eq) break;
-        }
-        g = g->next;
-      }
-      if (g == nullptr) {
-        g = static_cast<Group*>(arena_.Allocate(sizeof(Group), alignof(Group)));
-        g->hash = h;
-        g->keys = static_cast<Datum*>(
-            arena_.Allocate(sizeof(Datum) * (nkeys == 0 ? 1 : nkeys), 8));
-        g->keynull = static_cast<bool*>(
-            arena_.Allocate(nkeys == 0 ? 1 : nkeys, 1));
-        for (size_t i = 0; i < nkeys; ++i) {
-          int c = group_cols_[i];
-          g->keynull[i] = batch_->nulls(c)[r];
-          g->keys[i] = g->keynull[i]
-                           ? 0
-                           : CopyDatum(&arena_, batch_->col(c)[r],
-                                       group_meta_[i]);
-        }
-        g->states = static_cast<AggState*>(arena_.Allocate(
-            sizeof(AggState) * (aggs_.empty() ? 1 : aggs_.size()),
-            alignof(AggState)));
-        for (size_t i = 0; i < aggs_.size(); ++i) g->states[i] = AggState{};
-        g->next = buckets_[h & bucket_mask_];
-        buckets_[h & bucket_mask_] = g;
-        groups_.push_back(g);
-      }
-
-      if (batch_all_kernels_) {
+      if (all_kernels_) {
         // Column-at-a-time update: one cell load per aggregate, no row.
         uint64_t ops = 0;
-        for (size_t i = 0; i < col_kernels_.size(); ++i) {
-          const AggColKernel& k = col_kernels_[i];
-          // Same modeled cost as the scalar update in each bee mode; the
-          // batch savings are the amortized dispatch, not the arithmetic.
+        for (size_t i = 0; i < kernels_.size(); ++i) {
+          const Kernel& k = kernels_[i];
+          // A flat modeled cost per aggregate: 2 with the bee on (as the
+          // scalar bee update), 8 with it off — not the scalar generic
+          // update's 5 (+3 for a non-NULL SUM/AVG/MIN/MAX). The batch
+          // savings are the amortized dispatch, not the arithmetic.
           ops += use_kernels_ ? 2 : 8;
           if (k.attno < 0) {
             k.fn(g->states[i], 0, false);
@@ -562,8 +394,6 @@ Status HashAggregate::AccumulateBatch() {
       }
     }
   }
-  child_->Close();
-  SynthesizeEmptyGlobalGroup();
   return Status::OK();
 }
 
@@ -624,65 +454,21 @@ Status HashAggregate::PartialAccumulate() {
 }
 
 void HashAggregate::MergeFrom(HashAggregate* src) {
-  const size_t nkeys = group_cols_.size();
   for (Group* sg : src->groups_) {
-    // Find or create the destination group; unlike Accumulate the key
-    // values come from the source group, not a child row.
-    uint64_t h = sg->hash;
-    Group* g = buckets_[h & bucket_mask_];
-    while (g != nullptr) {
-      if (g->hash == h) {
-        bool eq = true;
-        for (size_t i = 0; i < nkeys; ++i) {
-          if (sg->keynull[i] != g->keynull[i] ||
-              (!sg->keynull[i] &&
-               !DatumEqualsGeneric(sg->keys[i], g->keys[i], group_meta_[i]))) {
-            eq = false;
-            break;
-          }
-        }
-        if (eq) break;
-      }
-      g = g->next;
-    }
-    if (g == nullptr) {
-      g = static_cast<Group*>(arena_.Allocate(sizeof(Group), alignof(Group)));
-      g->hash = h;
-      g->keys = static_cast<Datum*>(
-          arena_.Allocate(sizeof(Datum) * (nkeys == 0 ? 1 : nkeys), 8));
-      g->keynull =
-          static_cast<bool*>(arena_.Allocate(nkeys == 0 ? 1 : nkeys, 1));
-      for (size_t i = 0; i < nkeys; ++i) {
-        g->keynull[i] = sg->keynull[i];
-        g->keys[i] =
-            g->keynull[i] ? 0 : CopyDatum(&arena_, sg->keys[i], group_meta_[i]);
-      }
-      g->states = static_cast<AggState*>(arena_.Allocate(
-          sizeof(AggState) * (aggs_.empty() ? 1 : aggs_.size()),
-          alignof(AggState)));
-      for (size_t i = 0; i < aggs_.size(); ++i) g->states[i] = AggState{};
-      g->next = buckets_[h & bucket_mask_];
-      buckets_[h & bucket_mask_] = g;
-      groups_.push_back(g);
-    }
+    // Unlike Accumulate the key values come from the source group, not a
+    // child row, and the hash is the one the partial already computed.
+    Group* g = FindOrCreateGroup<false>(sg->hash, [&](size_t i, bool* isnull) {
+      *isnull = sg->keynull[i];
+      return sg->keys[i];
+    });
     for (size_t i = 0; i < aggs_.size(); ++i) {
       AggState& d = g->states[i];
       const AggState& s = sg->states[i];
       d.fsum += s.fsum;
       d.isum += s.isum;
       d.count += s.count;
-      if (s.has_value) {
-        if (!d.has_value) {
-          d.extreme = CopyDatum(&arena_, s.extreme, agg_arg_meta_[i]);
-          d.has_value = true;
-        } else {
-          int c = DatumCompareGeneric(s.extreme, d.extreme, agg_arg_meta_[i]);
-          if ((aggs_[i].kind == AggKind::kMin && c < 0) ||
-              (aggs_[i].kind == AggKind::kMax && c > 0)) {
-            d.extreme = CopyDatum(&arena_, s.extreme, agg_arg_meta_[i]);
-          }
-        }
-      }
+      // Only MIN/MAX states carry a value: fold it as one more argument.
+      if (s.has_value) FoldValue(d, i, s.extreme);
     }
   }
 }

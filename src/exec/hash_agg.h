@@ -32,6 +32,12 @@ struct AggSpec {
 /// aggregation bee (SessionOptions::enable_agg_bee, our extension of the
 /// paper's future work) replaces the dispatch with monomorphized updaters.
 ///
+/// Each hash-table job has one implementation: FindOrCreateGroup is the
+/// only group probe (scalar rows, batch columns and the parallel merge
+/// differ only in how a key cell is read), one value-form kernel family
+/// serves both the agg bee and batch accumulation, and FoldValue is the
+/// only generic per-aggregate fold.
+///
 /// Output: group columns ++ one column per AggSpec.
 class HashAggregate final : public Operator {
  public:
@@ -52,8 +58,8 @@ class HashAggregate final : public Operator {
   /// must share group columns and aggregate specs.
   void MergeFrom(HashAggregate* src);
 
-  /// Accumulator state; public so the aggregation-bee kernels (file-local
-  /// free functions in hash_agg.cc) can operate on it.
+  /// Accumulator state; public so the update kernels (file-local free
+  /// functions in hash_agg.cc) can operate on it.
   struct AggState {
     double fsum = 0;
     int64_t isum = 0;
@@ -70,51 +76,63 @@ class HashAggregate final : public Operator {
     AggState* states;
   };
 
+  /// Drains the child into groups (per-row Next or NextBatch); on success
+  /// closes it and gives an empty global aggregate its one group.
   Status Accumulate();
+  Status AccumulateRows();
+  Status AccumulateBatch();
+  /// Hashes the probe's group keys, charging 2 work-ops per key. `key_at`
+  /// reads key i: `Datum key_at(size_t i, bool* isnull)`.
+  template <typename KeyAt>
+  uint64_t HashKeys(const KeyAt& key_at) const;
+  /// The one find-or-create probe: returns the group whose keys equal the
+  /// probe's (read through `key_at`, as for HashKeys), creating it — keys
+  /// deep-copied into arena_, chained, appended to the emission order —
+  /// when none does. kCharged charges 2 work-ops per chain step (the scalar
+  /// and batch probes; the parallel merge is uncharged).
+  template <bool kCharged, typename KeyAt>
+  Group* FindOrCreateGroup(uint64_t h, const KeyAt& key_at);
+  /// Folds one non-NULL argument value into aggregate i's state: COUNTs
+  /// increment, SUM/AVG add, MIN/MAX compare and deep-copy a new extreme
+  /// into arena_. Charges nothing; callers own the cost model.
+  void FoldValue(AggState& st, size_t i, Datum v);
   void UpdateGeneric(Group* g, const ExecRow& row);
+  void UpdateWithKernels(Group* g, const ExecRow& row);
   void EmitGroup(const Group* g);
 
-  /// --- Aggregation bee (extension of the paper's §VIII future work) ---------
-  /// When SessionOptions::enable_agg_bee is set, aggregates whose argument
-  /// is a bare column get a monomorphized update kernel selected at Init
-  /// (kind x type burned in, the attribute number patched into the kernel
-  /// context) instead of the interpreted argument + double dispatch.
-  using AggKernelFn = void (*)(AggState&, const Datum*, const bool*,
-                               int attno);
-  struct AggKernel {
-    AggKernelFn fn = nullptr;  // nullptr -> generic update for this spec
-    int attno = 0;
+  /// --- Update kernels -------------------------------------------------------
+  /// Aggregates whose argument is a bare outer column of by-value type (or
+  /// COUNT(*)) get a monomorphized value-form kernel — kind x type burned
+  /// in, one argument cell in — selected once at construction. Two paths
+  /// run them:
+  ///  - the aggregation bee (extension of the paper's §VIII future work):
+  ///    with SessionOptions::enable_agg_bee, the scalar update calls the
+  ///    kernel on row.values[attno] instead of the interpreted argument +
+  ///    double dispatch, falling back to FoldValue per spec without one;
+  ///  - batch accumulation: when every aggregate has a kernel, the update
+  ///    reads each argument cell straight out of the batch's column arrays
+  ///    (no row is gathered), whatever the bee switch says; the switch only
+  ///    changes the modeled per-aggregate work cost.
+  using KernelFn = void (*)(AggState&, Datum v, bool isnull);
+  struct Kernel {
+    KernelFn fn = nullptr;  // nullptr -> this spec needs the generic fold
+    int attno = -1;         // -1: kernel reads no column (COUNT(*))
   };
-  void BuildAggKernels();
-  void UpdateWithKernels(Group* g, const ExecRow& row);
+  void BuildKernels();
+
+  std::vector<Kernel> kernels_;
+  bool all_kernels_ = false;  // every spec has a kernel
+  bool use_kernels_ = false;  // the agg bee is on
 
   /// --- Batch accumulation ---------------------------------------------------
   /// When the context enables batching and the child subtree is batch
   /// capable, Accumulate() drains the child through NextBatch instead of
   /// per-row Next. Group keys hash/compare straight out of the batch's
-  /// column arrays; aggregate arguments that are bare outer columns update
-  /// through value-form kernels reading one column cell (no row is ever
-  /// gathered), and anything else falls back to gathering the row and
-  /// reusing the scalar update path. This is independent of the agg bee:
-  /// the value kernels are an execution-layout detail, the bee switch only
-  /// changes the modeled per-aggregate work cost.
-  using AggColKernelFn = void (*)(AggState&, Datum v, bool isnull);
-  struct AggColKernel {
-    AggColKernelFn fn = nullptr;  // nullptr -> this spec needs the full row
-    int attno = -1;               // -1: kernel reads no column (COUNT(*))
-  };
-  void BuildColKernels();
-  Status AccumulateBatch();
-  void SynthesizeEmptyGlobalGroup();
-
-  std::vector<AggColKernel> col_kernels_;
-  bool batch_all_kernels_ = false;
+  /// column arrays; without a kernel for every aggregate the row is
+  /// gathered and the scalar update runs on it.
   std::unique_ptr<RowBatch> batch_;
   std::vector<Datum> crow_values_;
   std::unique_ptr<bool[]> crow_isnull_;
-
-  std::vector<AggKernel> kernels_;
-  bool use_kernels_ = false;
 
   ExecContext* ctx_;
   OperatorPtr child_;

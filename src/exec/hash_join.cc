@@ -7,6 +7,48 @@
 
 namespace microspec {
 
+Status DrainJoinBuild(Operator* child, const JoinKeyEvaluator& keys,
+                      Arena* arena, std::vector<JoinBuildRow*>* rows) {
+  const std::vector<ColMeta>& meta = child->output_meta();
+  const size_t width = meta.size();
+  MICROSPEC_RETURN_NOT_OK(child->Init());
+  Status st;
+  bool has_row = false;
+  for (;;) {
+    st = child->Next(&has_row);
+    if (!st.ok() || !has_row) break;
+    auto* row = static_cast<JoinBuildRow*>(
+        arena->Allocate(sizeof(JoinBuildRow), alignof(JoinBuildRow)));
+    row->values =
+        static_cast<Datum*>(arena->Allocate(sizeof(Datum) * width, 8));
+    row->isnull = static_cast<bool*>(arena->Allocate(width, 1));
+    const Datum* v = child->values();
+    const bool* n = child->isnull();
+    for (size_t c = 0; c < width; ++c) {
+      row->isnull[c] = n != nullptr && n[c];
+      row->values[c] = row->isnull[c] ? 0 : CopyDatum(arena, v[c], meta[c]);
+    }
+    row->hash = keys.HashInner(row->values, row->isnull);
+    rows->push_back(row);
+  }
+  child->Close();
+  return st;
+}
+
+uint64_t ChainJoinBuild(const std::vector<JoinBuildRow*>& rows,
+                        std::vector<JoinBuildRow*>* buckets) {
+  size_t nbuckets = 16;
+  while (nbuckets < rows.size() * 2) nbuckets <<= 1;
+  buckets->assign(nbuckets, nullptr);
+  const uint64_t mask = nbuckets - 1;
+  for (JoinBuildRow* row : rows) {
+    JoinBuildRow*& head = (*buckets)[row->hash & mask];
+    row->next = head;
+    head = row;
+  }
+  return mask;
+}
+
 HashJoin::HashJoin(ExecContext* ctx, OperatorPtr outer, OperatorPtr inner,
                    std::vector<int> outer_keys, std::vector<int> inner_keys,
                    JoinType join_type, ExprPtr residual)
@@ -113,40 +155,11 @@ Status HashJoin::BuildTable() {
     return Status::OK();
   }
   build_arena_.Reset();  // re-Init rebuilds from scratch
-  MICROSPEC_RETURN_NOT_OK(inner_->Init());
+  // The probe's own evaluator hashes the build side too: no second EVJ bee.
   std::vector<BuildRow*> rows;
-  const std::vector<ColMeta>& im = inner_->output_meta();
-  bool has_row = false;
-  for (;;) {
-    MICROSPEC_RETURN_NOT_OK(inner_->Next(&has_row));
-    if (!has_row) break;
-    auto* row = static_cast<BuildRow*>(
-        build_arena_.Allocate(sizeof(BuildRow), alignof(BuildRow)));
-    row->values = static_cast<Datum*>(
-        build_arena_.Allocate(sizeof(Datum) * inner_width_, 8));
-    row->isnull =
-        static_cast<bool*>(build_arena_.Allocate(inner_width_, 1));
-    const Datum* v = inner_->values();
-    const bool* n = inner_->isnull();
-    for (size_t i = 0; i < inner_width_; ++i) {
-      row->isnull[i] = n != nullptr && n[i];
-      row->values[i] =
-          row->isnull[i] ? 0 : CopyDatum(&build_arena_, v[i], im[i]);
-    }
-    row->hash = keys_->HashInner(row->values, row->isnull);
-    rows.push_back(row);
-  }
-  inner_->Close();
-
-  size_t nbuckets = 16;
-  while (nbuckets < rows.size() * 2) nbuckets <<= 1;
-  buckets_.assign(nbuckets, nullptr);
-  bucket_mask_ = nbuckets - 1;
-  for (BuildRow* row : rows) {
-    size_t b = row->hash & bucket_mask_;
-    row->next = buckets_[b];
-    buckets_[b] = row;
-  }
+  MICROSPEC_RETURN_NOT_OK(
+      DrainJoinBuild(inner_.get(), *keys_, &build_arena_, &rows));
+  bucket_mask_ = ChainJoinBuild(rows, &buckets_);
   buckets_data_ = buckets_.data();
   return Status::OK();
 }

@@ -22,9 +22,25 @@ struct JoinBuildRow {
   bool* isnull;
 };
 
+/// The build half shared by the serial HashJoin and SharedJoinBuild's
+/// partitions: Inits `child`, copies each of its rows (by-reference Datums
+/// deep-copied) into `arena`, hashes the row's inner keys with `keys`, and
+/// appends it to `rows`. The child is closed on every path after a
+/// successful Init; the first Next error is returned.
+Status DrainJoinBuild(Operator* child, const JoinKeyEvaluator& keys,
+                      Arena* arena, std::vector<JoinBuildRow*>* rows);
+
+/// Sizes `buckets` to the smallest power of two (at least 16) holding
+/// twice `rows`, chains every row in order (each new row heads its
+/// bucket's chain), and returns the bucket mask.
+uint64_t ChainJoinBuild(const std::vector<JoinBuildRow*>& rows,
+                        std::vector<JoinBuildRow*>* buckets);
+
 /// Hash equi-join. The inner child is built into an in-memory chained hash
-/// table; the outer child probes. Per-probe key hashing/comparison goes
-/// through a JoinKeyEvaluator: the generic implementation consults runtime
+/// table (DrainJoinBuild + ChainJoinBuild, the same routines the parallel
+/// SharedJoinBuild runs); the outer child probes. Per-probe key
+/// hashing/comparison goes through a JoinKeyEvaluator (the serial build
+/// hashes with the probe's own): the generic implementation consults runtime
 /// type metadata per key per tuple, while the EVJ query bee supplies a
 /// monomorphized kernel with attribute numbers and types burned in at
 /// query-preparation time (Section V). When EVJ is enabled, the probe loop

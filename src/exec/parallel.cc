@@ -226,7 +226,6 @@ SharedJoinBuild::SharedJoinBuild(
 
 Status SharedJoinBuild::DrainPartition(size_t i) {
   Partition& p = partials_[i];
-  Operator* op = partition_ops_[i].get();
   // Each partition hashes through its own key evaluator (same EVJ/generic
   // decision as the probes — deterministic for a given key list), created
   // from the partition's worker context on the draining thread.
@@ -234,48 +233,19 @@ Status SharedJoinBuild::DrainPartition(size_t i) {
       outer_keys_, inner_keys_, key_meta_,
       /*outer_width=*/0,  // the probe side's width is unknown while building
       static_cast<int>(inner_meta_.size()));
-  const size_t width = inner_meta_.size();
-  MICROSPEC_RETURN_NOT_OK(op->Init());
-  Status st;
-  bool has_row = false;
-  for (;;) {
-    st = op->Next(&has_row);
-    if (!st.ok() || !has_row) break;
-    auto* row = static_cast<JoinBuildRow*>(
-        p.arena.Allocate(sizeof(JoinBuildRow), alignof(JoinBuildRow)));
-    row->values =
-        static_cast<Datum*>(p.arena.Allocate(sizeof(Datum) * width, 8));
-    row->isnull = static_cast<bool*>(p.arena.Allocate(width, 1));
-    const Datum* v = op->values();
-    const bool* n = op->isnull();
-    for (size_t c = 0; c < width; ++c) {
-      row->isnull[c] = n != nullptr && n[c];
-      row->values[c] =
-          row->isnull[c] ? 0 : CopyDatum(&p.arena, v[c], inner_meta_[c]);
-    }
-    row->hash = keys->HashInner(row->values, row->isnull);
-    p.rows.push_back(row);
-  }
-  op->Close();
-  return st;
+  return DrainJoinBuild(partition_ops_[i].get(), *keys, &p.arena, &p.rows);
 }
 
 void SharedJoinBuild::MergeLocked() {
-  size_t total = 0;
-  for (const Partition& p : partials_) total += p.rows.size();
-  size_t nbuckets = 16;
-  while (nbuckets < total * 2) nbuckets <<= 1;
-  buckets_.assign(nbuckets, nullptr);
-  bucket_mask_ = nbuckets - 1;
+  // Partition order, then each partition's drain order: one row list for
+  // the chaining routine the serial build uses.
+  std::vector<JoinBuildRow*> rows;
   for (Partition& p : partials_) {
-    for (JoinBuildRow* row : p.rows) {
-      size_t b = row->hash & bucket_mask_;
-      row->next = buckets_[b];
-      buckets_[b] = row;
-    }
+    rows.insert(rows.end(), p.rows.begin(), p.rows.end());
     p.rows.clear();
     p.rows.shrink_to_fit();
   }
+  bucket_mask_ = ChainJoinBuild(rows, &buckets_);
 }
 
 Status SharedJoinBuild::EnsureBuilt() {

@@ -107,10 +107,12 @@ class Gather final : public Operator {
 /// share one bucket table. The first Init calls arrive on the probe worker
 /// threads; each arriving worker claims undrained build partitions (the
 /// inner plan's fragments) from an atomic index and drains them into
-/// per-partition row lists, and the last to finish merges the lists into
-/// the shared chained table. Workers that arrive after all partitions are
-/// claimed wait for the merge. The table is built once and reused across
-/// probe re-Inits (the data under a query does not change mid-plan).
+/// per-partition row lists (DrainJoinBuild), and the last to finish merges
+/// the lists into the shared chained table (ChainJoinBuild) — the same two
+/// routines as the serial HashJoin build. Workers that arrive after all
+/// partitions are claimed wait for the merge. The table is built once and
+/// reused across probe re-Inits (the data under a query does not change
+/// mid-plan).
 class SharedJoinBuild {
  public:
   SharedJoinBuild(std::vector<OperatorPtr> partitions,

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/counters.h"
 #include "exec/filter.h"
 #include "exec/hash_agg.h"
 #include "exec/hash_join.h"
@@ -344,7 +345,10 @@ namespace microspec {
 namespace {
 
 /// The aggregation-bee extension (SessionOptions::enable_agg_bee) must be
-/// result-equivalent to the generic update loop on every aggregate kind.
+/// result-equivalent to the generic update loop on every aggregate kind, on
+/// the scalar and the batch accumulation paths, over empty inputs, and
+/// through the parallel merge. Each serial mode's work-op count is pinned:
+/// the modeled per-row and per-aggregate charges are part of the contract.
 TEST(AggBee, KernelsMatchGenericUpdate) {
   testing::ScratchDir dir;
   auto db = testing::OpenDb(dir.path() + "/db", true, true);
@@ -368,30 +372,135 @@ TEST(AggBee, KernelsMatchGenericUpdate) {
     if (i % 128 == 0) arena.Reset();
   }
 
-  auto run = [&](bool agg_bee) {
+  // kMixed has an expression argument and a varchar MIN, so the batch path
+  // gathers rows; kBare has only bare by-value columns, so the batch path
+  // runs the column kernels; kMerge drops the float sums (whose rounding
+  // depends on merge order) and carries the varchar extremes and the
+  // NULL-bearing column through the dop > 1 merge.
+  enum class List { kMixed, kBare, kMerge };
+  enum class Input { kAll, kEmptyGlobal, kEmptyGrouped };
+  struct Result {
+    std::vector<std::string> rows;
+    uint64_t ops;
+  };
+  auto run = [&](List list, Input input, int batch_rows, bool agg_bee,
+                 int dop) {
     SessionOptions opts = SessionOptions::AllBees();
     opts.enable_agg_bee = agg_bee;
-    auto ctx = db->MakeContext(opts);
+    auto ctx = db->MakeContext(opts, dop);
+    if (dop > 1) ctx->set_parallel(ctx->executor(), dop, /*morsel_pages=*/1);
+    ctx->set_batch(batch_rows);
     Plan p = Plan::Scan(ctx.get(), table.value());
-    p.GroupBy({"g"},
-              AggList(Ag(AggSpec::CountStar(), "cnt"),
-                      Ag(AggSpec::Count(p.var("y")), "cy"),
-                      Ag(AggSpec::Sum(p.var("x")), "sx"),
-                      Ag(AggSpec::Sum(p.var("y")), "sy"),
-                      Ag(AggSpec::Avg(p.var("x")), "ax"),
-                      Ag(AggSpec::Min(p.var("y")), "mn"),
-                      Ag(AggSpec::Max(p.var("x")), "mx"),
-                      // Non-Var argument: kernel falls back per spec.
-                      Ag(AggSpec::Sum(Arith(ArithOp::kMul, p.var("x"),
-                                            ConstFloat64(2.0))),
-                         "sx2"),
-                      // String min/max: not kernelizable, must fall back.
-                      Ag(AggSpec::Min(p.var("s")), "ms")));
-    p.OrderBy({{"g", false}});
+    if (input != Input::kAll) {
+      p.Where(Cmp(CmpOp::kGt, p.var("g"), ConstInt32(1000)));
+    }
+    std::vector<std::pair<AggSpec, std::string>> aggs;
+    switch (list) {
+      case List::kMixed:
+        aggs = AggList(Ag(AggSpec::CountStar(), "cnt"),
+                       Ag(AggSpec::Count(p.var("y")), "cy"),
+                       Ag(AggSpec::Sum(p.var("x")), "sx"),
+                       Ag(AggSpec::Sum(p.var("y")), "sy"),
+                       Ag(AggSpec::Avg(p.var("x")), "ax"),
+                       Ag(AggSpec::Min(p.var("y")), "mn"),
+                       Ag(AggSpec::Max(p.var("x")), "mx"),
+                       // Non-Var argument: kernel falls back per spec.
+                       Ag(AggSpec::Sum(Arith(ArithOp::kMul, p.var("x"),
+                                             ConstFloat64(2.0))),
+                          "sx2"),
+                       // String min/max: not kernelizable, must fall back.
+                       Ag(AggSpec::Min(p.var("s")), "ms"));
+        break;
+      case List::kBare:
+        aggs = AggList(Ag(AggSpec::CountStar(), "cnt"),
+                       Ag(AggSpec::Count(p.var("y")), "cy"),
+                       Ag(AggSpec::Sum(p.var("x")), "sx"),
+                       Ag(AggSpec::Sum(p.var("y")), "sy"),
+                       Ag(AggSpec::Avg(p.var("x")), "ax"),
+                       Ag(AggSpec::Avg(p.var("y")), "ay"),
+                       Ag(AggSpec::Min(p.var("y")), "mny"),
+                       Ag(AggSpec::Max(p.var("y")), "mxy"),
+                       Ag(AggSpec::Min(p.var("x")), "mnx"),
+                       Ag(AggSpec::Max(p.var("x")), "mxx"));
+        break;
+      case List::kMerge:
+        aggs = AggList(Ag(AggSpec::CountStar(), "cnt"),
+                       Ag(AggSpec::Count(p.var("y")), "cy"),
+                       Ag(AggSpec::Sum(p.var("y")), "sy"),
+                       Ag(AggSpec::Avg(p.var("y")), "ay"),
+                       Ag(AggSpec::Min(p.var("y")), "mny"),
+                       Ag(AggSpec::Max(p.var("y")), "mxy"),
+                       Ag(AggSpec::Max(p.var("x")), "mxx"),
+                       Ag(AggSpec::Min(p.var("s")), "mns"),
+                       Ag(AggSpec::Max(p.var("s")), "mxs"));
+        break;
+    }
+    if (input == Input::kEmptyGlobal) {
+      p.GroupBy({}, std::move(aggs));
+    } else {
+      p.GroupBy({"g"}, std::move(aggs));
+      p.OrderBy({{"g", false}});
+    }
     OperatorPtr op = std::move(p).Build();
-    return testing::CollectRows(op.get());
+    const uint64_t before = workops::Read();
+    Result r{testing::CollectRows(op.get()), 0};
+    r.ops = workops::Read() - before;
+    return r;
   };
-  EXPECT_EQ(run(false), run(true));
+
+  struct Mode {
+    int batch_rows;
+    bool agg_bee;
+    uint64_t mixed_ops;  // pinned work-op deltas, List::kMixed over all rows
+    uint64_t bare_ops;   // ... and List::kBare
+  };
+  const Mode modes[] = {
+      {0, false, 80454, 80906},
+      {0, true, 44530, 34558},
+      {1, false, 79454, 63558},
+      {1, true, 43530, 33558},
+      {kMaxTuplesPerPage, false, 69514, 53618},
+      {kMaxTuplesPerPage, true, 33590, 23618},
+  };
+  const Result mixed = run(List::kMixed, Input::kAll, 0, false, 1);
+  const Result bare = run(List::kBare, Input::kAll, 0, false, 1);
+  const Result merge = run(List::kMerge, Input::kAll, 0, false, 1);
+  ASSERT_EQ(mixed.rows.size(), 7u);
+  for (const Mode& m : modes) {
+    SCOPED_TRACE(::testing::Message() << "batch_rows=" << m.batch_rows
+                                      << " agg_bee=" << m.agg_bee);
+    const Result rm =
+        run(List::kMixed, Input::kAll, m.batch_rows, m.agg_bee, 1);
+    const Result rb =
+        run(List::kBare, Input::kAll, m.batch_rows, m.agg_bee, 1);
+    EXPECT_EQ(rm.rows, mixed.rows);
+    EXPECT_EQ(rb.rows, bare.rows);
+    EXPECT_EQ(rm.ops, m.mixed_ops);
+    EXPECT_EQ(rb.ops, m.bare_ops);
+
+    // Empty input: a global aggregate still yields its one row (COUNTs 0,
+    // everything else NULL); a grouped one yields none.
+    for (List list : {List::kMixed, List::kBare}) {
+      EXPECT_EQ(run(list, Input::kEmptyGlobal, m.batch_rows, m.agg_bee, 1).rows,
+                run(list, Input::kEmptyGlobal, 0, false, 1).rows);
+      EXPECT_TRUE(
+          run(list, Input::kEmptyGrouped, m.batch_rows, m.agg_bee, 1)
+              .rows.empty());
+    }
+
+    // dop 4 merges the partials through HashAggregate::MergeFrom; the
+    // empty global aggregate's per-worker rows must collapse into one.
+    EXPECT_EQ(run(List::kMerge, Input::kAll, m.batch_rows, m.agg_bee, 4).rows,
+              merge.rows);
+    EXPECT_EQ(
+        run(List::kMerge, Input::kEmptyGlobal, m.batch_rows, m.agg_bee, 4).rows,
+        run(List::kMerge, Input::kEmptyGlobal, 0, false, 1).rows);
+    EXPECT_TRUE(
+        run(List::kMerge, Input::kEmptyGrouped, m.batch_rows, m.agg_bee, 4)
+            .rows.empty());
+  }
+  EXPECT_EQ(run(List::kMixed, Input::kEmptyGlobal, 0, false, 1).rows,
+            std::vector<std::string>{"0|0|NULL|NULL|NULL|NULL|NULL|NULL|NULL"});
 }
 
 }  // namespace

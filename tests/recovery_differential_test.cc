@@ -346,11 +346,21 @@ class RecoveryDifferentialTest : public ::testing::Test {
     // after txn 3), so the survivor may hold any prefix of it — but never a
     // gap, and never less than what the committed txns prove existed.
     const bool has_pk = t1 != nullptr && t1->GetIndex("t1_pk") != nullptr;
-    if (t1 == nullptr) ASSERT_EQ(committed, 0);
-    if (h != nullptr) ASSERT_TRUE(has_pk) << "h without t1_pk in " << dir;
-    if (committed > 0) ASSERT_NE(h, nullptr);
-    if (t2 != nullptr) ASSERT_GE(committed, 3);
-    if (committed >= 4) ASSERT_NE(t2, nullptr);
+    if (t1 == nullptr) {
+      ASSERT_EQ(committed, 0);
+    }
+    if (h != nullptr) {
+      ASSERT_TRUE(has_pk) << "h without t1_pk in " << dir;
+    }
+    if (committed > 0) {
+      ASSERT_NE(h, nullptr);
+    }
+    if (t2 != nullptr) {
+      ASSERT_GE(committed, 3);
+    }
+    if (committed >= 4) {
+      ASSERT_NE(t2, nullptr);
+    }
 
     // The twin re-executes the committed prefix, never crashing, creating
     // exactly the DDL prefix the survivor recovered.
