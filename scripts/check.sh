@@ -23,20 +23,21 @@
 #      build with ASan). Run both modes for full coverage. The telemetry
 #      concurrency tests (sharded counters/histograms + snapshot readers)
 #      are part of the suite, so TSan covers the lock-free paths.
-#   6. Parallel-execution sanitizer gate, run unconditionally: targeted
-#      sanitizer builds of the morsel-driven executor's standalone tests —
-#      the TPC-H differential test under ASan/UBSan and under TSan, and the
-#      forge stress test under TSan. These are the binaries whose whole
-#      point is racing workers against each other and against the forge, so
-#      they never ship without sanitizer coverage, even on plain runs.
-#   7. Batch-execution gate, run unconditionally: the batch differential
-#      test (every TPC-H query, batching on/off × bees on/off × dop 1/4,
-#      against the scalar serial engine) under ASan/UBSan and under TSan
-#      (batches cross the Gather queue between threads carrying page pins),
-#      then bench_tpch_warm --batch-gate, which fails if the page-batched
-#      warm scan is slower than the scalar pipeline. Unlike the dop-scaling
-#      checks, the batch gate runs even on 1-CPU machines: batching must
-#      win (or at worst tie) without any parallelism.
+#   6. Execution-variant sanitizer gate, run unconditionally: targeted
+#      sanitizer builds of the standalone TPC-H differential test (every
+#      query, batch 0/1/64/page × dop 1/4 plus dop 2/7/16 with random
+#      morsel sizes, × bees off/program/native, against the scalar serial
+#      engine) run once under ASan/UBSan and once under TSan, and the forge
+#      stress test under TSan. These are the binaries whose whole point is
+#      racing workers against each other and against the forge (batches
+#      cross the Gather queue between threads carrying page pins), so they
+#      never ship without sanitizer coverage, even on plain runs.
+#   7. Batch-execution gate, run unconditionally: bench_tpch_warm
+#      --batch-gate, which fails if the page-batched warm scan is slower
+#      than the scalar pipeline (step 6 already covers batch correctness).
+#      Unlike the dop-scaling checks, the batch gate runs even on 1-CPU
+#      machines: batching must win (or at worst tie) without any
+#      parallelism.
 #   8. Server front-door gate, run unconditionally: the server test suite
 #      (wire protocol, one write per request cycle, the latency floor, the
 #      seeded wire-frame fuzz, admission control, statement-cache sharing
@@ -134,38 +135,31 @@ case "${SANITIZE:-0}" in
     ;;
 esac
 
-echo "== 6/10: parallel-execution sanitizer gate =="
-# Targeted builds: only the standalone parallel test binaries (plus their
+echo "== 6/10: execution-variant sanitizer gate =="
+# Targeted builds: only the standalone test binaries (plus their
 # dependencies) are compiled in the sanitizer trees, so this stays cheap
 # even when SANITIZE is unset and the full sanitized suites did not run.
+# Batched and parallel plans must be row-identical to the scalar serial
+# engine under both sanitizer families.
 ASAN_DIR="$BUILD_DIR-asan"
 cmake -B "$ASAN_DIR" -S "$ROOT" \
   -DMICROSPEC_SANITIZE="address;undefined" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build "$ASAN_DIR" -j "$JOBS" --target parallel_differential_test
+cmake --build "$ASAN_DIR" -j "$JOBS" --target tpch_differential_test
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
-  "$ASAN_DIR"/tests/parallel_differential_test
+  "$ASAN_DIR"/tests/tpch_differential_test
 
 TSAN_DIR="$BUILD_DIR-tsan"
 cmake -B "$TSAN_DIR" -S "$ROOT" \
   -DMICROSPEC_SANITIZE="thread" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$TSAN_DIR" -j "$JOBS" \
-  --target parallel_differential_test parallel_forge_stress_test
+  --target tpch_differential_test parallel_forge_stress_test
 TSAN_OPTIONS=halt_on_error=1 "$TSAN_DIR"/tests/parallel_forge_stress_test
-TSAN_OPTIONS=halt_on_error=1 "$TSAN_DIR"/tests/parallel_differential_test
+TSAN_OPTIONS=halt_on_error=1 "$TSAN_DIR"/tests/tpch_differential_test
 
 echo "== 7/10: batch-execution gate =="
-# Differential correctness first: batched plans must be row-identical to
-# the scalar serial engine under both sanitizer families (batches carry
-# page pins across the bounded Gather queue, so TSan coverage matters).
-cmake --build "$ASAN_DIR" -j "$JOBS" --target batch_differential_test
-ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
-  "$ASAN_DIR"/tests/batch_differential_test
-cmake --build "$TSAN_DIR" -j "$JOBS" --target batch_differential_test
-TSAN_OPTIONS=halt_on_error=1 "$TSAN_DIR"/tests/batch_differential_test
-
-# Then the throughput gate: page-granular batching must not lose to the
+# The throughput gate: page-granular batching must not lose to the
 # scalar pipeline. This runs unconditionally — the 1-CPU skip applies only
 # to dop-scaling checks, never here, since batching needs no parallelism.
 MICROSPEC_SF="${MICROSPEC_GATE_SF:-0.005}" \

@@ -149,7 +149,7 @@ Status HashJoin::BuildTable() {
   if (shared_ != nullptr) {
     // Parallel build: participate in (or wait out) the cooperative build,
     // then probe the shared table. Built once; re-Init reuses it.
-    MICROSPEC_RETURN_NOT_OK(shared_->EnsureBuilt());
+    MICROSPEC_RETURN_NOT_OK(shared_->EnsureBuilt(*keys_));
     buckets_data_ = shared_->buckets();
     bucket_mask_ = shared_->bucket_mask();
     return Status::OK();

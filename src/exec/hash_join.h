@@ -39,8 +39,8 @@ uint64_t ChainJoinBuild(const std::vector<JoinBuildRow*>& rows,
 /// Hash equi-join. The inner child is built into an in-memory chained hash
 /// table (DrainJoinBuild + ChainJoinBuild, the same routines the parallel
 /// SharedJoinBuild runs); the outer child probes. Per-probe key
-/// hashing/comparison goes through a JoinKeyEvaluator (the serial build
-/// hashes with the probe's own): the generic implementation consults runtime
+/// hashing/comparison goes through a JoinKeyEvaluator (both builds hash with
+/// the probe's own): the generic implementation consults runtime
 /// type metadata per key per tuple, while the EVJ query bee supplies a
 /// monomorphized kernel with attribute numbers and types burned in at
 /// query-preparation time (Section V). When EVJ is enabled, the probe loop

@@ -210,30 +210,14 @@ void Gather::Close() {
 SharedJoinBuild::SharedJoinBuild(
     std::vector<OperatorPtr> partitions,
     std::vector<std::unique_ptr<ExecContext>> partition_ctxs,
-    std::vector<std::shared_ptr<MorselCursor>> cursors,
-    std::vector<int> outer_keys, std::vector<int> inner_keys,
-    std::vector<ColMeta> key_meta, std::vector<ColMeta> inner_meta)
+    std::vector<std::shared_ptr<MorselCursor>> cursors)
     : partition_ops_(std::move(partitions)),
       partition_ctxs_(std::move(partition_ctxs)),
       cursors_(std::move(cursors)),
-      outer_keys_(std::move(outer_keys)),
-      inner_keys_(std::move(inner_keys)),
-      key_meta_(std::move(key_meta)),
-      inner_meta_(std::move(inner_meta)),
       partials_(partition_ops_.size()) {
+  MICROSPEC_CHECK(!partition_ops_.empty());
   MICROSPEC_CHECK(partition_ops_.size() == partition_ctxs_.size());
-}
-
-Status SharedJoinBuild::DrainPartition(size_t i) {
-  Partition& p = partials_[i];
-  // Each partition hashes through its own key evaluator (same EVJ/generic
-  // decision as the probes — deterministic for a given key list), created
-  // from the partition's worker context on the draining thread.
-  std::unique_ptr<JoinKeyEvaluator> keys = partition_ctxs_[i]->MakeJoinKeys(
-      outer_keys_, inner_keys_, key_meta_,
-      /*outer_width=*/0,  // the probe side's width is unknown while building
-      static_cast<int>(inner_meta_.size()));
-  return DrainJoinBuild(partition_ops_[i].get(), *keys, &p.arena, &p.rows);
+  inner_meta_ = partition_ops_[0]->output_meta();
 }
 
 void SharedJoinBuild::MergeLocked() {
@@ -248,7 +232,7 @@ void SharedJoinBuild::MergeLocked() {
   bucket_mask_ = ChainJoinBuild(rows, &buckets_);
 }
 
-Status SharedJoinBuild::EnsureBuilt() {
+Status SharedJoinBuild::EnsureBuilt(const JoinKeyEvaluator& keys) {
   {
     std::lock_guard<std::mutex> l(mutex_);
     if (built_) return status_;
@@ -257,7 +241,9 @@ Status SharedJoinBuild::EnsureBuilt() {
   for (;;) {
     size_t i = next_partition_.fetch_add(1, std::memory_order_relaxed);
     if (i >= partition_ops_.size()) break;
-    Status st = DrainPartition(i);
+    Partition& p = partials_[i];
+    Status st =
+        DrainJoinBuild(partition_ops_[i].get(), keys, &p.arena, &p.rows);
     std::lock_guard<std::mutex> l(mutex_);
     if (!st.ok() && status_.ok()) status_ = st;
     ++drained_;

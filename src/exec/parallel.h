@@ -107,25 +107,24 @@ class Gather final : public Operator {
 /// share one bucket table. The first Init calls arrive on the probe worker
 /// threads; each arriving worker claims undrained build partitions (the
 /// inner plan's fragments) from an atomic index and drains them into
-/// per-partition row lists (DrainJoinBuild), and the last to finish merges
-/// the lists into the shared chained table (ChainJoinBuild) — the same two
-/// routines as the serial HashJoin build. Workers that arrive after all
-/// partitions are claimed wait for the merge. The table is built once and
-/// reused across probe re-Inits (the data under a query does not change
-/// mid-plan).
+/// per-partition row lists (DrainJoinBuild, hashing with that worker's own
+/// join-key evaluator), and the last to finish merges the lists into the
+/// shared chained table (ChainJoinBuild) — the same two routines as the
+/// serial HashJoin build. Workers that arrive after all partitions are
+/// claimed wait for the merge. The table is built once and reused across
+/// probe re-Inits (the data under a query does not change mid-plan).
 class SharedJoinBuild {
  public:
   SharedJoinBuild(std::vector<OperatorPtr> partitions,
                   std::vector<std::unique_ptr<ExecContext>> partition_ctxs,
-                  std::vector<std::shared_ptr<MorselCursor>> cursors,
-                  std::vector<int> outer_keys, std::vector<int> inner_keys,
-                  std::vector<ColMeta> key_meta,
-                  std::vector<ColMeta> inner_meta);
+                  std::vector<std::shared_ptr<MorselCursor>> cursors);
   MICROSPEC_DISALLOW_COPY_AND_MOVE(SharedJoinBuild);
 
   /// Cooperative build; returns once the shared table is published (or the
-  /// first drain error). Safe to call from any number of threads.
-  Status EnsureBuilt();
+  /// first drain error). Safe to call from any number of threads. Each
+  /// caller hashes the partitions it drains with `keys`, the calling probe's
+  /// own evaluator, so the build forges no join-key bee of its own.
+  Status EnsureBuilt(const JoinKeyEvaluator& keys);
 
   const std::vector<ColMeta>& inner_meta() const { return inner_meta_; }
   JoinBuildRow* const* buckets() const { return buckets_.data(); }
@@ -137,16 +136,12 @@ class SharedJoinBuild {
     Arena arena;
   };
 
-  Status DrainPartition(size_t i);
   /// Chains every partition's rows into buckets_ (mutex_ held).
   void MergeLocked();
 
   std::vector<OperatorPtr> partition_ops_;
   std::vector<std::unique_ptr<ExecContext>> partition_ctxs_;
   std::vector<std::shared_ptr<MorselCursor>> cursors_;
-  std::vector<int> outer_keys_;
-  std::vector<int> inner_keys_;
-  std::vector<ColMeta> key_meta_;
   std::vector<ColMeta> inner_meta_;
 
   std::atomic<size_t> next_partition_{0};

@@ -8,102 +8,114 @@
 
 namespace microspec {
 
+namespace {
+
+/// Fragment i's copy (of n) of an expression every fragment needs: a clone
+/// for all but the last fragment, which takes the original.
+ExprPtr ExprFor(ExprPtr& expr, size_t i, size_t n) {
+  if (expr == nullptr || i + 1 == n) return std::move(expr);
+  return expr->Clone();
+}
+
+/// ExprFor for an aggregate list (AggSpec holds a move-only expression).
+std::vector<AggSpec> SpecsFor(std::vector<AggSpec>& specs, size_t i,
+                              size_t n) {
+  if (i + 1 == n) return std::move(specs);
+  std::vector<AggSpec> copy;
+  copy.reserve(specs.size());
+  for (AggSpec& spec : specs) {
+    copy.push_back(AggSpec{spec.kind, ExprFor(spec.arg, i, n)});
+  }
+  return copy;
+}
+
+}  // namespace
+
+Plan::Plan(ExecContext* ctx, OperatorPtr op, std::vector<std::string> names)
+    : ctx_(ctx), names_(std::move(names)) {
+  frags_.push_back(std::move(op));
+}
+
 void Plan::Instrument(std::string label, std::vector<int> children) {
   QueryStats* qs = ctx_->analyze();
   if (qs == nullptr) return;
   // Drop placeholders from inputs built before collection was enabled.
   std::erase_if(children, [](int id) { return id < 0; });
   // Sampled queries additionally get an operator span riding the same
-  // profiler (sqlfe always installs QueryStats on a sampled statement, so
+  // profilers (sqlfe always installs QueryStats on a sampled statement, so
   // tracing never needs its own decorator). Plans build bottom-up: the
   // children's spans already exist and NewOpSpan re-parents them here.
   const trace::TraceContext& tc = ctx_->trace();
-  uint32_t span = 0;
-  if (tc) span = tc.trace->NewOpSpan(qs->NextNodeId(), label, children);
-  stats_id_ = qs->AddNode(std::move(label), std::move(children));
-  auto prof = std::make_unique<OpProfiler>(std::move(op_), qs, stats_id_);
-  if (span != 0) prof->set_trace(tc.trace, span);
-  op_ = std::move(prof);
-}
-
-void Plan::InstrumentFragments(std::string label, std::vector<int> children) {
-  QueryStats* qs = ctx_->analyze();
-  if (qs == nullptr) return;
-  std::erase_if(children, [](int id) { return id < 0; });
-  const trace::TraceContext& tc = ctx_->trace();
   const int node_id = qs->NextNodeId();
-  if (tc) tc.trace->NewOpSpan(node_id, label, children);
+  uint32_t span = 0;
+  if (tc) span = tc.trace->NewOpSpan(node_id, label, children);
   stats_id_ = qs->AddNode(std::move(label), std::move(children));
-  int frag_index = 0;
-  for (OperatorPtr& f : frags_) {
-    auto prof = std::make_unique<OpProfiler>(std::move(f), qs, stats_id_);
-    if (tc) {
-      prof->set_trace(tc.trace,
-                      tc.trace->NewFragmentSpan(node_id, frag_index));
-    }
-    f = std::move(prof);
-    ++frag_index;
+  const bool fragmented = frags_.size() > 1;
+  for (size_t i = 0; i < frags_.size(); ++i) {
+    auto prof = std::make_unique<OpProfiler>(std::move(frags_[i]), qs,
+                                             stats_id_);
+    // A lone fragment reports into the operator span itself; two or more
+    // each report into a fragment span under it.
+    const uint32_t s =
+        tc && fragmented
+            ? tc.trace->NewFragmentSpan(node_id, static_cast<int>(i))
+            : span;
+    if (s != 0) prof->set_trace(tc.trace, s);
+    frags_[i] = std::move(prof);
   }
 }
 
 void Plan::EnsureSerial() {
-  if (!parallel()) return;
+  if (frags_.size() < 2) return;
   int child = stats_id_;
-  op_ = std::make_unique<Gather>(ctx_, std::move(frags_),
-                                 std::move(frag_ctxs_), std::move(cursors_));
-  frags_.clear();
-  frag_ctxs_.clear();
-  cursors_.clear();
+  Collapse(std::make_unique<Gather>(ctx_, std::move(frags_),
+                                    std::move(frag_ctxs_),
+                                    std::move(cursors_)));
   Instrument("Gather", {child});
 }
 
+void Plan::Collapse(OperatorPtr op) {
+  frags_.clear();
+  frag_ctxs_.clear();
+  cursors_.clear();
+  frags_.push_back(std::move(op));
+}
+
 Plan Plan::Scan(ExecContext* ctx, TableInfo* table, int natts) {
-  std::vector<std::string> names;
+  Plan plan(ctx);
+  // Two or more fragments each run on a worker context and claim morsels
+  // from one shared cursor; a lone fragment scans the whole relation.
   const int dop = ctx->dop();
+  std::shared_ptr<MorselCursor> cursor;
   if (dop > 1) {
-    auto cursor = std::make_shared<MorselCursor>(table->heap()->num_pages(),
-                                                 ctx->morsel_pages());
-    Plan plan(ctx, nullptr, {});
-    for (int i = 0; i < dop; ++i) {
-      std::unique_ptr<ExecContext> wctx = ctx->MakeWorkerContext();
-      plan.frags_.push_back(
-          std::make_unique<ParallelScan>(wctx.get(), table, cursor, natts));
-      plan.frag_ctxs_.push_back(std::move(wctx));
-    }
-    plan.cursors_.push_back(std::move(cursor));
-    int n = static_cast<int>(plan.frags_[0]->output_meta().size());
-    for (int i = 0; i < n; ++i) {
-      plan.names_.push_back(table->schema().column(i).name());
-    }
-    plan.InstrumentFragments("ParallelScan(" + table->name() + ")", {});
-    return plan;
+    cursor = std::make_shared<MorselCursor>(table->heap()->num_pages(),
+                                            ctx->morsel_pages());
+    plan.cursors_.push_back(cursor);
   }
-  auto scan = std::make_unique<SeqScan>(ctx, table, natts);
-  int n = static_cast<int>(scan->output_meta().size());
-  names.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) names.push_back(table->schema().column(i).name());
-  Plan plan(ctx, std::move(scan), std::move(names));
-  plan.Instrument("SeqScan(" + table->name() + ")", {});
+  for (size_t i = 0; i < static_cast<size_t>(dop); ++i) {
+    if (cursor != nullptr) plan.frag_ctxs_.push_back(ctx->MakeWorkerContext());
+    plan.frags_.push_back(
+        std::make_unique<SeqScan>(plan.frag_ctx(i), table, natts, cursor));
+  }
+  const int n = static_cast<int>(plan.frags_[0]->output_meta().size());
+  for (int i = 0; i < n; ++i) {
+    plan.names_.push_back(table->schema().column(i).name());
+  }
+  plan.Instrument(
+      (cursor != nullptr ? "ParallelScan(" : "SeqScan(") + table->name() + ")",
+      {});
   return plan;
 }
 
 Plan& Plan::Where(ExprPtr predicate) {
   int child = stats_id_;
-  if (parallel()) {
-    // Filters are row-local: replicate across the fragments (each worker
-    // context makes its own EVP decision — deterministic for a given expr).
-    for (size_t i = 0; i + 1 < frags_.size(); ++i) {
-      frags_[i] = std::make_unique<Filter>(frag_ctxs_[i].get(),
-                                           std::move(frags_[i]),
-                                           predicate->Clone());
-    }
-    size_t last = frags_.size() - 1;
-    frags_[last] = std::make_unique<Filter>(
-        frag_ctxs_[last].get(), std::move(frags_[last]), std::move(predicate));
-    InstrumentFragments("Filter", {child});
-    return *this;
+  // Filters are row-local: replicate across the fragments (each context
+  // makes its own EVP decision — deterministic for a given expr).
+  const size_t n = frags_.size();
+  for (size_t i = 0; i < n; ++i) {
+    frags_[i] = std::make_unique<Filter>(frag_ctx(i), std::move(frags_[i]),
+                                         ExprFor(predicate, i, n));
   }
-  op_ = std::make_unique<Filter>(ctx_, std::move(op_), std::move(predicate));
   Instrument("Filter", {child});
   return *this;
 }
@@ -122,43 +134,34 @@ Plan Plan::Join(Plan outer, Plan inner,
     for (const std::string& n : inner.names_) names.push_back(n);
   }
   ExecContext* ctx = outer.ctx_;
-  if (outer.parallel() && inner.parallel()) {
+  if (outer.frags_.size() > 1 && inner.frags_.size() > 1) {
     // Parallel hash join: the inner fragments become a cooperatively built
     // shared table; each outer fragment probes it with its own HashJoin.
     // Each outer row lives in exactly one fragment, so kLeft/kSemi/kAnti
     // stay correct per fragment.
-    std::vector<ColMeta> key_meta;
-    key_meta.reserve(outer_keys.size());
-    for (int k : outer_keys) {
-      key_meta.push_back(outer.frags_[0]->output_meta()[static_cast<size_t>(k)]);
-    }
-    std::vector<ColMeta> inner_meta = inner.frags_[0]->output_meta();
     auto shared = std::make_shared<SharedJoinBuild>(
         std::move(inner.frags_), std::move(inner.frag_ctxs_),
-        std::move(inner.cursors_), outer_keys, inner_keys, std::move(key_meta),
-        std::move(inner_meta));
-    Plan plan(ctx, nullptr, std::move(names));
+        std::move(inner.cursors_));
+    Plan plan(ctx);
+    plan.names_ = std::move(names);
     plan.frag_ctxs_ = std::move(outer.frag_ctxs_);
     plan.cursors_ = std::move(outer.cursors_);
     const size_t n = outer.frags_.size();
     for (size_t i = 0; i < n; ++i) {
-      ExprPtr res;
-      if (residual != nullptr) {
-        res = i + 1 < n ? residual->Clone() : std::move(residual);
-      }
       plan.frags_.push_back(std::make_unique<HashJoin>(
-          plan.frag_ctxs_[i].get(), std::move(outer.frags_[i]), shared,
-          outer_keys, inner_keys, type, std::move(res)));
+          plan.frag_ctx(i), std::move(outer.frags_[i]), shared, outer_keys,
+          inner_keys, type, ExprFor(residual, i, n)));
     }
-    plan.InstrumentFragments("HashJoin", {outer.stats_id_, inner.stats_id_});
+    plan.Instrument("HashJoin", {outer.stats_id_, inner.stats_id_});
     return plan;
   }
-  // Mixed parallel/serial inputs fall back to a serial join below a Gather.
+  // Otherwise both inputs become one stream (a Gather above two or more
+  // fragments) and the serial HashJoin builds its own table.
   outer.EnsureSerial();
   inner.EnsureSerial();
   auto join = std::make_unique<HashJoin>(
-      ctx, std::move(outer.op_), std::move(inner.op_), std::move(outer_keys),
-      std::move(inner_keys), type, std::move(residual));
+      ctx, std::move(outer.frags_[0]), std::move(inner.frags_[0]),
+      std::move(outer_keys), std::move(inner_keys), type, std::move(residual));
   Plan plan(ctx, std::move(join), std::move(names));
   plan.Instrument("HashJoin", {outer.stats_id_, inner.stats_id_});
   return plan;
@@ -173,7 +176,7 @@ Plan Plan::LoopJoin(Plan outer, Plan inner, JoinType type, ExprPtr predicate) {
   }
   ExecContext* ctx = outer.ctx_;
   auto join = std::make_unique<NestedLoopJoin>(
-      ctx, std::move(outer.op_), std::move(inner.op_), type,
+      ctx, std::move(outer.frags_[0]), std::move(inner.frags_[0]), type,
       std::move(predicate));
   Plan plan(ctx, std::move(join), std::move(names));
   plan.Instrument("NestedLoopJoin", {outer.stats_id_, inner.stats_id_});
@@ -194,40 +197,25 @@ Plan& Plan::GroupBy(const std::vector<std::string>& group_cols,
     names.push_back(name);
   }
   int child = stats_id_;
-  if (parallel()) {
-    // Parallel aggregation: each fragment feeds its own local HashAggregate
-    // (cloned specs — AggSpec holds a move-only expression); the merge
-    // operator absorbs the fragments, their contexts and the cursors, and
-    // the plan is serial from here up.
-    std::vector<std::unique_ptr<HashAggregate>> locals;
-    const size_t n = frags_.size();
-    for (size_t i = 0; i < n; ++i) {
-      std::vector<AggSpec> s;
-      if (i + 1 < n) {
-        s.reserve(specs.size());
-        for (const AggSpec& spec : specs) {
-          s.push_back(AggSpec{
-              spec.kind, spec.arg != nullptr ? spec.arg->Clone() : nullptr});
-        }
-      } else {
-        s = std::move(specs);
-      }
-      locals.push_back(std::make_unique<HashAggregate>(
-          frag_ctxs_[i].get(), std::move(frags_[i]), cols, std::move(s)));
-    }
-    op_ = std::make_unique<ParallelHashAggregate>(
-        ctx_, std::move(locals), std::move(frag_ctxs_), std::move(cursors_));
-    frags_.clear();
-    frag_ctxs_.clear();
-    cursors_.clear();
-    names_ = std::move(names);
-    Instrument("ParallelHashAggregate", {child});
-    return *this;
+  // One local HashAggregate per fragment. Two or more merge in a
+  // ParallelHashAggregate, which absorbs the fragments' contexts and
+  // cursors; either way the plan is one fragment from here up.
+  std::vector<std::unique_ptr<HashAggregate>> locals;
+  const size_t n = frags_.size();
+  for (size_t i = 0; i < n; ++i) {
+    locals.push_back(std::make_unique<HashAggregate>(
+        frag_ctx(i), std::move(frags_[i]), cols, SpecsFor(specs, i, n)));
   }
-  op_ = std::make_unique<HashAggregate>(ctx_, std::move(op_), std::move(cols),
-                                        std::move(specs));
+  OperatorPtr agg;
+  if (n == 1) {
+    agg = std::move(locals[0]);
+  } else {
+    agg = std::make_unique<ParallelHashAggregate>(
+        ctx_, std::move(locals), std::move(frag_ctxs_), std::move(cursors_));
+  }
+  Collapse(std::move(agg));
   names_ = std::move(names);
-  Instrument("HashAggregate", {child});
+  Instrument(n == 1 ? "HashAggregate" : "ParallelHashAggregate", {child});
   return *this;
 }
 
@@ -240,7 +228,8 @@ Plan& Plan::Select(std::vector<std::pair<ExprPtr, std::string>> exprs) {
     names.push_back(name);
   }
   int child = stats_id_;
-  op_ = std::make_unique<Project>(ctx_, std::move(op_), std::move(list));
+  frags_[0] =
+      std::make_unique<Project>(ctx_, std::move(frags_[0]), std::move(list));
   names_ = std::move(names);
   Instrument("Project", {child});
   return *this;
@@ -253,7 +242,8 @@ Plan& Plan::OrderBy(const std::vector<std::pair<std::string, bool>>& keys) {
     sort_keys.push_back(SortKey{col(name), desc});
   }
   int child = stats_id_;
-  op_ = std::make_unique<Sort>(ctx_, std::move(op_), std::move(sort_keys));
+  frags_[0] =
+      std::make_unique<Sort>(ctx_, std::move(frags_[0]), std::move(sort_keys));
   Instrument("Sort", {child});
   return *this;
 }
@@ -261,7 +251,7 @@ Plan& Plan::OrderBy(const std::vector<std::pair<std::string, bool>>& keys) {
 Plan& Plan::Take(uint64_t limit) {
   EnsureSerial();
   int child = stats_id_;
-  op_ = std::make_unique<Limit>(std::move(op_), limit);
+  frags_[0] = std::make_unique<Limit>(std::move(frags_[0]), limit);
   Instrument("Limit", {child});
   return *this;
 }
@@ -283,8 +273,7 @@ int Plan::TryCol(const std::string& name) const {
 }
 
 ColMeta Plan::meta(const std::string& name) const {
-  const Operator* top = op_ != nullptr ? op_.get() : frags_[0].get();
-  return top->output_meta()[static_cast<size_t>(col(name))];
+  return frags_[0]->output_meta()[static_cast<size_t>(col(name))];
 }
 
 ExprPtr Plan::var(const std::string& name) const {
@@ -297,7 +286,7 @@ ExprPtr Plan::inner_var(const std::string& name) const {
 
 OperatorPtr Plan::Build() && {
   EnsureSerial();
-  return std::move(op_);
+  return std::move(frags_[0]);
 }
 
 }  // namespace microspec

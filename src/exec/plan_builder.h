@@ -49,13 +49,16 @@ std::vector<std::pair<ExprPtr, std::string>> SelList(Ps&&... ps) {
 /// All bee seams remain in force: scans deform through GCL, filters go
 /// through MakePredicate (EVP), hash joins through MakeJoinKeys (EVJ).
 ///
-/// Parallelism: when the context's dop() > 1 a plan starts as dop per-worker
-/// pipeline fragments fed by a shared MorselCursor. Per-row operators
-/// (Filter) replicate across the fragments; pipeline breakers either merge
-/// the fragments (GroupBy -> ParallelHashAggregate, Join's build side ->
+/// Pipeline shape: a plan is a list of fragments, one per worker, and a
+/// serial plan is simply a plan with one fragment that runs on the caller's
+/// ExecContext (no worker context, no MorselCursor). When the context's
+/// dop() > 1 a plan starts as dop fragments, each on its own worker context,
+/// whose scan leaves share a MorselCursor. Per-row operators (Filter)
+/// replicate across the fragments; pipeline breakers either merge two or
+/// more fragments (GroupBy -> ParallelHashAggregate, Join's build side ->
 /// SharedJoinBuild) or force a Gather (Sort, Project, Limit, LoopJoin,
-/// Build). At dop() == 1 none of this machinery engages and the built tree
-/// is byte-identical to the serial planner's.
+/// Build). A one-fragment plan never gets a Gather, so at dop() == 1 the
+/// built tree is exactly the serial operator tree.
 class Plan {
  public:
   /// Sequential scan of all (or the first `natts`) columns.
@@ -104,36 +107,42 @@ class Plan {
   OperatorPtr Build() &&;
 
  private:
-  Plan(ExecContext* ctx, OperatorPtr op, std::vector<std::string> names)
-      : ctx_(ctx), op_(std::move(op)), names_(std::move(names)) {}
+  explicit Plan(ExecContext* ctx) : ctx_(ctx) {}
+  /// A one-fragment plan rooted at `op`.
+  Plan(ExecContext* ctx, OperatorPtr op, std::vector<std::string> names);
 
-  /// True while the plan is dop parallel fragments (op_ is null).
-  bool parallel() const { return !frags_.empty(); }
+  /// The context fragment `i` runs on: its worker context, or ctx_ for a
+  /// one-fragment plan.
+  ExecContext* frag_ctx(size_t i) {
+    return frag_ctxs_.empty() ? ctx_ : frag_ctxs_[i].get();
+  }
 
-  /// Collapses parallel fragments into a single serial tree by inserting a
-  /// Gather exchange; no-op for serial plans. Called by every operator that
+  /// Collapses two or more fragments into one by inserting a Gather
+  /// exchange; no-op for a one-fragment plan. Called by every operator that
   /// needs a single input stream, and by Build().
   void EnsureSerial();
+  /// Makes `op` the plan's one fragment, dropping the worker contexts and
+  /// cursors (which `op` has absorbed, if it needs them).
+  void Collapse(OperatorPtr op);
 
-  /// EXPLAIN ANALYZE seam: when ctx_->analyze() is set, registers a stats
-  /// node labelled `label` (children = the wrapped inputs' node ids) and
-  /// wraps op_ in an OpProfiler; otherwise leaves the tree untouched.
+  /// EXPLAIN ANALYZE seam: when ctx_->analyze() is set, registers one stats
+  /// node labelled `label` (children = the wrapped inputs' node ids) and one
+  /// operator span, and wraps each fragment in its own OpProfiler;
+  /// otherwise leaves the fragments untouched. The profilers accumulate
+  /// locally on their threads and merge into the shared node on Close, so
+  /// the node reports whole-operator totals (rows sum across workers;
+  /// next_calls = rows + one EOS probe per fragment). With two or more
+  /// fragments each profiler reports into its own fragment span under the
+  /// operator span.
   void Instrument(std::string label, std::vector<int> children);
 
-  /// Fragment flavor of Instrument: one stats node shared by all dop
-  /// fragments, each wrapped in its own OpProfiler. The profilers accumulate
-  /// locally on their worker threads and merge into the shared node on
-  /// Close, so the node reports whole-operator totals (rows sum across
-  /// workers; next_calls = rows + dop EOS probes).
-  void InstrumentFragments(std::string label, std::vector<int> children);
-
   ExecContext* ctx_;
-  OperatorPtr op_;
   std::vector<std::string> names_;
 
-  /// Parallel pipeline state: fragment i runs on frag_ctxs_[i] (a worker
-  /// ExecContext), and cursors_ holds the morsel cursors feeding the
-  /// fragments' scan leaves (reset on rescans by the downstream breaker).
+  /// The pipeline: fragment i runs on frag_ctx(i). frag_ctxs_ holds the
+  /// worker contexts and cursors_ the morsel cursors feeding the fragments'
+  /// scan leaves (reset on rescans by the downstream breaker); both are
+  /// empty for a one-fragment plan.
   std::vector<OperatorPtr> frags_;
   std::vector<std::unique_ptr<ExecContext>> frag_ctxs_;
   std::vector<std::shared_ptr<MorselCursor>> cursors_;

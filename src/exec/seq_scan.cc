@@ -4,27 +4,9 @@
 
 namespace microspec {
 
-namespace {
-
-/// A per-scan sketch collector when workload feedback is on; null (and
-/// therefore one never-taken branch per row) otherwise.
-std::unique_ptr<ScanStatsCollector> MakeScanCollector(
-    ExecContext* ctx, TableInfo* table, int natts,
-    const std::vector<ColMeta>& meta) {
-  if (ctx->stats_feedback() == nullptr) return nullptr;
-  std::vector<std::string> cols;
-  cols.reserve(static_cast<size_t>(natts));
-  for (int i = 0; i < natts; ++i) {
-    cols.push_back(table->schema().column(i).name());
-  }
-  return std::make_unique<ScanStatsCollector>(table->name(), std::move(cols),
-                                              meta);
-}
-
-}  // namespace
-
-SeqScan::SeqScan(ExecContext* ctx, TableInfo* table, int natts_to_fetch)
-    : ctx_(ctx), table_(table) {
+SeqScan::SeqScan(ExecContext* ctx, TableInfo* table, int natts_to_fetch,
+                 std::shared_ptr<MorselCursor> cursor)
+    : ctx_(ctx), table_(table), cursor_(std::move(cursor)) {
   int all = table->schema().natts();
   natts_ = (natts_to_fetch < 0 || natts_to_fetch > all) ? all : natts_to_fetch;
   meta_.reserve(static_cast<size_t>(natts_));
@@ -38,23 +20,52 @@ Status SeqScan::Init() {
   values_buf_.assign(static_cast<size_t>(natts_), 0);
   isnull_buf_ = std::make_unique<bool[]>(static_cast<size_t>(natts_));
   for (int i = 0; i < natts_; ++i) isnull_buf_[i] = false;
-  if (stats_ == nullptr) {
-    stats_ = MakeScanCollector(ctx_, table_, natts_, meta_);
+  if (stats_ == nullptr && ctx_->stats_feedback() != nullptr) {
+    // A per-scan sketch collector when workload feedback is on; null (and
+    // therefore one never-taken branch per row) otherwise.
+    std::vector<std::string> cols;
+    cols.reserve(static_cast<size_t>(natts_));
+    for (int i = 0; i < natts_; ++i) {
+      cols.push_back(table_->schema().column(i).name());
+    }
+    stats_ = std::make_unique<ScanStatsCollector>(table_->name(),
+                                                  std::move(cols), meta_);
   }
-  iter_.emplace(table_->heap()->Scan());
+  iter_.reset();  // the first Next opens the first range
+  whole_opened_ = false;
   values_ = values_buf_.data();
   isnull_ = isnull_buf_.get();
   return Status::OK();
+}
+
+bool SeqScan::OpenNextRange() {
+  if (cursor_ == nullptr) {
+    if (whole_opened_) return false;
+    whole_opened_ = true;
+    iter_.emplace(table_->heap()->Scan());
+    return true;
+  }
+  PageNo begin = 0;
+  PageNo end = 0;
+  if (!cursor_->Claim(&begin, &end)) return false;
+  iter_.emplace(table_->heap()->Scan(begin, end));
+  return true;
 }
 
 Status SeqScan::Next(bool* has_row) {
   const char* tuple = nullptr;
   uint32_t len = 0;
   TupleId tid = 0;
-  if (!iter_->Next(&tuple, &len, &tid)) {
-    if (!iter_->status().ok()) return iter_->status();
-    *has_row = false;
-    return Status::OK();
+  for (;;) {
+    if (iter_.has_value()) {
+      if (iter_->Next(&tuple, &len, &tid)) break;
+      if (!iter_->status().ok()) return iter_->status();
+      iter_.reset();  // range exhausted; release its last page pin
+    }
+    if (!OpenNextRange()) {
+      *has_row = false;
+      return Status::OK();
+    }
   }
   workops::Bump(10);  // executor node dispatch (ExecProcNode analog)
   deformer_->Deform(tuple, natts_, values_buf_.data(), isnull_buf_.get());
@@ -69,9 +80,17 @@ Status SeqScan::NextBatch(RowBatch* batch) {
   batch->Reset();
   const int cap = batch->capacity();
   tuple_buf_.resize(static_cast<size_t>(cap));
-  int n = iter_->NextPageBatch(tuple_buf_.data(), cap, batch->pin());
-  if (n == 0) {
-    return iter_->status();  // OK at end-of-relation; selected() stays 0
+  int n = 0;
+  for (;;) {
+    if (iter_.has_value()) {
+      n = iter_->NextPageBatch(tuple_buf_.data(), cap, batch->pin());
+      if (n > 0) break;
+      if (!iter_->status().ok()) return iter_->status();
+      iter_.reset();  // range exhausted; release its last page pin
+    }
+    if (!OpenNextRange()) {
+      return Status::OK();  // end of relation; selected() stays 0
+    }
   }
   workops::Bump(10);  // executor node dispatch, amortized over the batch
   deformer_->DeformBatch(tuple_buf_.data(), n, natts_, batch->cols(),
@@ -84,96 +103,8 @@ Status SeqScan::NextBatch(RowBatch* batch) {
 void SeqScan::Close() {
   iter_.reset();
   if (stats_ != nullptr) {
-    ctx_->stats_feedback()->MergeScan(*stats_);
-    stats_.reset();
-  }
-}
-
-ParallelScan::ParallelScan(ExecContext* ctx, TableInfo* table,
-                           std::shared_ptr<MorselCursor> cursor,
-                           int natts_to_fetch)
-    : ctx_(ctx), table_(table), cursor_(std::move(cursor)) {
-  int all = table->schema().natts();
-  natts_ = (natts_to_fetch < 0 || natts_to_fetch > all) ? all : natts_to_fetch;
-  meta_.reserve(static_cast<size_t>(natts_));
-  for (int i = 0; i < natts_; ++i) {
-    meta_.push_back(ColMeta::FromColumn(table->schema().column(i)));
-  }
-}
-
-Status ParallelScan::Init() {
-  deformer_ = ctx_->DeformerFor(table_);
-  values_buf_.assign(static_cast<size_t>(natts_), 0);
-  isnull_buf_ = std::make_unique<bool[]>(static_cast<size_t>(natts_));
-  for (int i = 0; i < natts_; ++i) isnull_buf_[i] = false;
-  if (stats_ == nullptr) {
-    stats_ = MakeScanCollector(ctx_, table_, natts_, meta_);
-  }
-  iter_.reset();  // first Next() claims the first morsel
-  values_ = values_buf_.data();
-  isnull_ = isnull_buf_.get();
-  return Status::OK();
-}
-
-Status ParallelScan::Next(bool* has_row) {
-  const char* tuple = nullptr;
-  uint32_t len = 0;
-  TupleId tid = 0;
-  for (;;) {
-    if (iter_.has_value()) {
-      if (iter_->Next(&tuple, &len, &tid)) break;
-      if (!iter_->status().ok()) return iter_->status();
-      iter_.reset();  // morsel exhausted; release its last page pin
-    }
-    PageNo begin = 0;
-    PageNo end = 0;
-    if (!cursor_->Claim(&begin, &end)) {
-      *has_row = false;
-      return Status::OK();
-    }
-    iter_.emplace(table_->heap()->Scan(begin, end));
-  }
-  workops::Bump(10);  // executor node dispatch (ExecProcNode analog)
-  deformer_->Deform(tuple, natts_, values_buf_.data(), isnull_buf_.get());
-  if (stats_ != nullptr) {
-    stats_->ObserveRow(values_buf_.data(), isnull_buf_.get());
-  }
-  *has_row = true;
-  return Status::OK();
-}
-
-Status ParallelScan::NextBatch(RowBatch* batch) {
-  batch->Reset();
-  const int cap = batch->capacity();
-  tuple_buf_.resize(static_cast<size_t>(cap));
-  int n = 0;
-  for (;;) {
-    if (iter_.has_value()) {
-      n = iter_->NextPageBatch(tuple_buf_.data(), cap, batch->pin());
-      if (n > 0) break;
-      if (!iter_->status().ok()) return iter_->status();
-      iter_.reset();  // morsel exhausted; release its last page pin
-    }
-    PageNo begin = 0;
-    PageNo end = 0;
-    if (!cursor_->Claim(&begin, &end)) {
-      return Status::OK();  // end of relation; selected() stays 0
-    }
-    iter_.emplace(table_->heap()->Scan(begin, end));
-  }
-  workops::Bump(10);  // executor node dispatch, amortized over the batch
-  deformer_->DeformBatch(tuple_buf_.data(), n, natts_, batch->cols(),
-                         batch->null_cols());
-  batch->SetAllSelected(n);
-  if (stats_ != nullptr) stats_->ObserveBatch(*batch);
-  return Status::OK();
-}
-
-void ParallelScan::Close() {
-  iter_.reset();
-  if (stats_ != nullptr) {
-    // Each fragment merges its own slice under the StatsFeedback mutex —
-    // safe from worker threads, totals add up across the dop fragments.
+    // Each fragment of a parallel scan merges its own slice under the
+    // StatsFeedback mutex — safe from worker threads, totals add up.
     ctx_->stats_feedback()->MergeScan(*stats_);
     stats_.reset();
   }

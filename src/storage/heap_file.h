@@ -57,7 +57,7 @@ class HeapFile {
    public:
     explicit Iterator(HeapFile* hf) : hf_(hf) {}
     /// Bounded variant over the page range [begin, end): the unit of work a
-    /// morsel-driven ParallelScan claims from a shared cursor. Unlike the
+    /// SeqScan fragment claims from a shared MorselCursor. Unlike the
     /// unbounded iterator, which chases the live tail of a growing file, the
     /// bound is fixed at claim time.
     Iterator(HeapFile* hf, PageNo begin, PageNo end)

@@ -331,6 +331,34 @@ TEST_P(OperatorTest, OperatorsAreReinitializable) {
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(*first, *second);
+
+  // A re-Init rescans the relation as it stands: rows appended between two
+  // runs (enough to start a new heap page) are counted by the second run, on
+  // the scalar path and on the page-batch path a batch-driving aggregate
+  // engages.
+  for (int batch : {0, kMaxTuplesPerPage}) {
+    auto ctx = db_->MakeContext(db_->DefaultSession(), 1);
+    ctx->set_batch(batch);
+    Plan q = Plan::Scan(ctx.get(), emp_);
+    q.Where(Cmp(CmpOp::kEq, q.var("dept"), ConstInt32(1)));
+    q.GroupBy({}, AggList(Ag(AggSpec::CountStar(), "n")));
+    OperatorPtr count = std::move(q).Build();
+    std::vector<std::string> before = CollectRows(count.get());
+    ASSERT_EQ(before.size(), 1u);
+    const PageNo pages = emp_->heap()->num_pages();
+    int64_t added = 0;
+    while (emp_->heap()->num_pages() == pages) {
+      Datum v[4] = {DatumFromInt32(static_cast<int32_t>(1000 + added)),
+                    DatumFromInt32(1), DatumFromFloat64(1.0), 0};
+      bool n[4] = {false, false, false, true};
+      ASSERT_TRUE(db_->Insert(ctx_.get(), emp_, v, n).ok());
+      ++added;
+    }
+    EXPECT_EQ(CollectRows(count.get()),
+              std::vector<std::string>{std::to_string(std::stoll(before[0]) +
+                                                      added)})
+        << "batch=" << batch;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(StockAndBees, OperatorTest, ::testing::Bool(),

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "bee/bee_module.h"
 #include "exec/analyze.h"
 #include "exec/morsel.h"
 #include "exec/parallel.h"
@@ -224,6 +225,24 @@ TEST_F(ParallelExecTest, JoinTypesMatchSerial) {
   }
 }
 
+TEST_F(ParallelExecTest, JoinForgesOneEvjBeePerProbeFragment) {
+  // The shared build drains its partitions with the probing worker's own
+  // key evaluator, so a join forges one EVJ bee per probe fragment and none
+  // per build partition (the shared query-bee cache is off here).
+  for (auto [dop, forged] : {std::pair<int, uint64_t>{1, 1},
+                             std::pair<int, uint64_t>{4, 4}}) {
+    const uint64_t before = db_->bees()->stats().evj_bees_created;
+    auto ctx = Ctx(dop);
+    Plan join = Plan::Join(Plan::Scan(ctx.get(), fact_),
+                           Plan::Scan(ctx.get(), dim_), {{"k", "k"}});
+    OperatorPtr op = std::move(join).Build();
+    ASSERT_OK_AND_ASSIGN(uint64_t rows, CountRows(op.get()));
+    EXPECT_EQ(rows, static_cast<uint64_t>(kFactRows)) << "dop=" << dop;
+    EXPECT_EQ(db_->bees()->stats().evj_bees_created - before, forged)
+        << "dop=" << dop;
+  }
+}
+
 TEST_F(ParallelExecTest, GroupByMergesAllAggregateKinds) {
   auto build = [&](ExecContext* ctx) {
     Plan plan = Plan::Scan(ctx, fact_);
@@ -287,7 +306,8 @@ TEST_F(ParallelExecTest, InlineFallbackWithoutExecutor) {
       std::make_shared<MorselCursor>(fact_->heap()->num_pages(), 1);
   for (int i = 0; i < 4; ++i) {
     auto wctx = pooled->MakeWorkerContext();
-    frags.push_back(std::make_unique<ParallelScan>(wctx.get(), fact_, cursor));
+    frags.push_back(std::make_unique<SeqScan>(wctx.get(), fact_,
+                                              /*natts_to_fetch=*/-1, cursor));
     wctxs.push_back(std::move(wctx));
   }
   cursors.push_back(cursor);
