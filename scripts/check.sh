@@ -7,7 +7,12 @@
 #                                    # forge gate: async compilation races)
 #
 # Steps (each must pass):
-#   1. Configure + build with -Werror, so every warning is a failure.
+#   1. Configure + build with -Werror, so every warning is a failure. Then
+#      configure + build the perfbench package (the repo benchmark, its own
+#      CMake project over ../src) into $BUILD_DIR/perfbench-build, so an
+#      engine change that breaks the benchmark's use of the engine API fails
+#      here rather than at benchmark time. Build only: nothing runs and no
+#      file is written under perfbench/.
 #   2. cppcheck over src/ if installed (error-level findings fail the gate);
 #      clang-tidy over all of src/ (via the build tree's
 #      compile_commands.json) if installed. Both are optional tools: the
@@ -76,6 +81,11 @@ echo "== 1/10: -Werror build =="
 cmake -B "$BUILD_DIR" -S "$ROOT" \
   -DCMAKE_CXX_FLAGS="-Werror -Wno-restrict" >/dev/null
 cmake --build "$BUILD_DIR" -j "$JOBS"
+# Default warning flags: the gate is about the API perfbench compiles
+# against, not about warnings in the benchmark's own sources.
+cmake -B "$BUILD_DIR/perfbench-build" -S "$ROOT/perfbench" \
+  -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build "$BUILD_DIR/perfbench-build" -j "$JOBS" --target perfbench
 
 echo "== 2/10: static analysis =="
 if command -v cppcheck >/dev/null 2>&1; then

@@ -42,33 +42,6 @@ inline uint64_t Hash64(const void* data, size_t len,
   return h;
 }
 
-/// CRC-32C (Castagnoli, the iSCSI/SSE4.2 polynomial) over a byte range.
-/// Table is built at compile time; calls chain by passing the previous
-/// return value as `crc`. Used for WAL record and heap-page checksums,
-/// where torn-write detection needs a real CRC rather than a mixer hash.
-struct Crc32Table {
-  uint32_t t[256];
-  constexpr Crc32Table() : t() {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) != 0 ? 0x82F63B78u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-  }
-};
-
-inline uint32_t Crc32(const void* data, size_t len, uint32_t crc = 0) {
-  static constexpr Crc32Table kTable{};
-  uint32_t c = ~crc;
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    c = kTable.t[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
-  }
-  return ~c;
-}
-
 inline uint64_t HashCombine(uint64_t a, uint64_t b) {
   return a ^ (b + 0x9E3779B97F4A7C15ULL + (a << 6) + (a >> 2));
 }

@@ -5,7 +5,7 @@
 #include <cstring>
 
 #include "common/align.h"
-#include "common/hash.h"
+#include "common/crc32c.h"
 #include "common/macros.h"
 
 namespace microspec {
@@ -75,10 +75,10 @@ inline bool PageIsZero(const char* page) {
 /// CRC over the whole page with the checksum field treated as zero.
 inline uint32_t PageComputeChecksum(const char* page) {
   static constexpr uint32_t kZero = 0;
-  uint32_t crc = Crc32(page, kPageChecksumOffset);
-  crc = Crc32(&kZero, sizeof(kZero), crc);
-  return Crc32(page + kPageChecksumOffset + 4,
-               kPageSize - kPageChecksumOffset - 4, crc);
+  uint32_t crc = Crc32c(page, kPageChecksumOffset);
+  crc = Crc32c(&kZero, sizeof(kZero), crc);
+  return Crc32c(page + kPageChecksumOffset + 4,
+                kPageSize - kPageChecksumOffset - 4, crc);
 }
 
 inline void PageStampChecksum(char* page) {

@@ -3,13 +3,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstring>
 
+#include "common/crc32c.h"
 #include "common/failpoint.h"
-#include "common/hash.h"
 
 namespace microspec {
 
@@ -182,42 +183,53 @@ bool DecodeBeeSection(const std::string& in, uint32_t* table, uint8_t* bee_id,
 
 namespace {
 
-/// Payload-length sanity bound for the torn-tail scan: a header whose len
-/// exceeds this is garbage, not a record (the largest legal payload is two
-/// page-sized images plus fixed fields).
-constexpr uint32_t kMaxPayload = 4 * kPageSize;
-
 uint32_t RecordCrc(const WalRecordHeader& h, const char* payload,
                    uint32_t len) {
   const char* hdr = reinterpret_cast<const char*>(&h);
-  uint32_t crc = Crc32(hdr + sizeof(uint32_t),
-                       sizeof(WalRecordHeader) - sizeof(uint32_t));
-  return Crc32(payload, len, crc);
+  uint32_t crc = Crc32c(hdr + sizeof(uint32_t),
+                        sizeof(WalRecordHeader) - sizeof(uint32_t));
+  return Crc32c(payload, len, crc);
 }
 
 /// Scans [0, size) of an open log fd, appending valid records to `out`
 /// (when non-null) and returning the offset of the first invalid byte —
-/// the torn-tail truncation point.
+/// the torn-tail truncation point. The log is read through one buffer filled
+/// by Wal::kScanChunkBytes-sized preads; a record that straddles the end of
+/// the buffer is re-read from its start with the next chunk.
 uint64_t ScanLog(int fd, uint64_t size, std::vector<WalRecord>* out) {
+  std::string chunk;  // bytes [chunk_off, chunk_off + chunk.size()) of the log
+  uint64_t chunk_off = 0;
+  // Makes [off, off + n) resident in `chunk`; false on a short read.
+  auto load = [&](uint64_t off, uint64_t n) {
+    if (off >= chunk_off && off + n <= chunk_off + chunk.size()) return true;
+    uint64_t want = std::max<uint64_t>(
+        n, std::min<uint64_t>(Wal::kScanChunkBytes, size - off));
+    chunk.resize(static_cast<size_t>(want));
+    chunk_off = off;
+    size_t got = 0;
+    while (got < chunk.size()) {
+      ssize_t r = ::pread(fd, &chunk[got], chunk.size() - got,
+                          static_cast<off_t>(off + got));
+      if (r <= 0) break;
+      got += static_cast<size_t>(r);
+    }
+    chunk.resize(got);
+    return got >= n;
+  };
   uint64_t off = 0;
-  std::string payload;
   while (off + sizeof(WalRecordHeader) <= size) {
     WalRecordHeader h;
-    ssize_t n = ::pread(fd, &h, sizeof(h), static_cast<off_t>(off));
-    if (n != static_cast<ssize_t>(sizeof(h))) break;
-    if (h.len > kMaxPayload ||
+    if (!load(off, sizeof(h))) break;
+    std::memcpy(&h, chunk.data() + (off - chunk_off), sizeof(h));
+    if (h.len > Wal::kMaxPayload ||
         off + sizeof(h) + h.len > size ||
         h.type < static_cast<uint8_t>(WalRecordType::kBegin) ||
         h.type > static_cast<uint8_t>(WalRecordType::kCheckpoint)) {
       break;
     }
-    payload.resize(h.len);
-    if (h.len != 0) {
-      n = ::pread(fd, &payload[0], h.len,
-                  static_cast<off_t>(off + sizeof(h)));
-      if (n != static_cast<ssize_t>(h.len)) break;
-    }
-    if (RecordCrc(h, payload.data(), h.len) != h.crc) break;
+    if (!load(off, sizeof(h) + h.len)) break;
+    const char* payload = chunk.data() + (off - chunk_off) + sizeof(h);
+    if (RecordCrc(h, payload, h.len) != h.crc) break;
     if (out != nullptr) {
       WalRecord rec;
       rec.start_lsn = off + 1;
@@ -225,7 +237,7 @@ uint64_t ScanLog(int fd, uint64_t size, std::vector<WalRecord>* out) {
       rec.txn_id = h.txn_id;
       rec.prev_lsn = h.prev_lsn;
       rec.type = static_cast<WalRecordType>(h.type);
-      rec.payload = payload;
+      rec.payload.assign(payload, h.len);
       out->push_back(std::move(rec));
     }
     off += sizeof(h) + h.len;

@@ -2,6 +2,7 @@
 #define MICROSPEC_STORAGE_WAL_H_
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -152,6 +153,14 @@ bool DecodeBeeSection(const std::string& in, uint32_t* table, uint8_t* bee_id,
 /// dirty pages and "retry the fsync" would silently lie about durability.
 class Wal {
  public:
+  /// Payload-length sanity bound for the torn-tail scan: a header whose len
+  /// exceeds this is garbage, not a record (the largest legal payload is two
+  /// page-sized images plus fixed fields).
+  static constexpr uint32_t kMaxPayload = 4 * kPageSize;
+
+  /// Open and ReadAll read the log sequentially in preads of this size.
+  static constexpr size_t kScanChunkBytes = size_t{1} << 20;
+
   struct Options {
     bool group_commit = true;
     int group_commit_window_us = 0;  // flusher batching window (0 = none)

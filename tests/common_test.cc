@@ -1,16 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/align.h"
 #include "common/arena.h"
 #include "common/counters.h"
+#include "common/crc32c.h"
 #include "common/datum.h"
 #include "common/hash.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "storage/page.h"
 
 namespace microspec {
 namespace {
@@ -117,6 +121,75 @@ TEST(Hash, HashInt64AvoidsTrivialCollisions) {
   std::set<uint64_t> seen;
   for (int64_t i = 0; i < 1000; ++i) seen.insert(HashInt64(i));
   EXPECT_EQ(seen.size(), 1000u);
+}
+
+using Crc32cKernel = uint32_t (*)(const void*, size_t, uint32_t);
+
+/// The dispatched entry point plus whichever kernels this CPU can run.
+std::vector<Crc32cKernel> Crc32cKernels() {
+  std::vector<Crc32cKernel> kernels = {&Crc32c, &Crc32cPortable};
+  if (Crc32cHardwareSupported()) kernels.push_back(&Crc32cHardware);
+  return kernels;
+}
+
+TEST(Crc32c, Rfc3720Vectors) {
+  // RFC 3720 (iSCSI) appendix B.4 test vectors.
+  unsigned char zeros[32] = {};
+  unsigned char ones[32];
+  unsigned char ascending[32];
+  for (int i = 0; i < 32; ++i) {
+    ones[i] = 0xFF;
+    ascending[i] = static_cast<unsigned char>(i);
+  }
+  for (Crc32cKernel crc : Crc32cKernels()) {
+    EXPECT_EQ(crc(zeros, sizeof(zeros), 0), 0x8A9136AAu);
+    EXPECT_EQ(crc(ones, sizeof(ones), 0), 0x62A8AB43u);
+    EXPECT_EQ(crc(ascending, sizeof(ascending), 0), 0x46DD794Eu);
+  }
+}
+
+TEST(Crc32c, CheckValue) {
+  const std::string s = "123456789";
+  for (Crc32cKernel crc : Crc32cKernels()) {
+    EXPECT_EQ(crc(s.data(), s.size(), 0), 0xE3069283u);
+  }
+}
+
+TEST(Crc32c, ChainingEqualsConcatenation) {
+  Rng rng(3720);
+  std::string ab(1000, '\0');
+  for (char& c : ab) c = static_cast<char>(rng.NextU64());
+  for (Crc32cKernel crc : Crc32cKernels()) {
+    for (size_t split : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
+                         size_t{333}, ab.size()}) {
+      uint32_t chained =
+          crc(ab.data() + split, ab.size() - split, crc(ab.data(), split, 0));
+      EXPECT_EQ(chained, crc(ab.data(), ab.size(), 0)) << "split " << split;
+    }
+  }
+}
+
+TEST(Crc32c, HardwareMatchesPortable) {
+  if (!Crc32cHardwareSupported()) GTEST_SKIP() << "CPU lacks SSE4.2";
+  Rng rng(0xC5C);
+  // Room for the longest case at the largest misalignment.
+  std::vector<unsigned char> buf(4 * kPageSize + 8);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.NextU64());
+  for (size_t len = 0; len <= 64; ++len) {
+    for (uint32_t seed : {0u, 0xFFFFFFFFu, 0x12345678u}) {
+      EXPECT_EQ(Crc32cHardware(buf.data(), len, seed),
+                Crc32cPortable(buf.data(), len, seed))
+          << "len " << len << " seed " << seed;
+    }
+  }
+  for (int i = 0; i < 200; ++i) {
+    size_t misalign = static_cast<size_t>(i % 8);
+    size_t len = static_cast<size_t>(rng.Uniform(4 * kPageSize + 1));
+    uint32_t seed = static_cast<uint32_t>(rng.NextU64());
+    EXPECT_EQ(Crc32cHardware(buf.data() + misalign, len, seed),
+              Crc32cPortable(buf.data() + misalign, len, seed))
+        << "len " << len << " misalign " << misalign;
+  }
 }
 
 TEST(Rng, DeterministicPerSeed) {

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/heap_file.h"
 #include "storage/page.h"
+#include "storage/wal.h"
 #include "test_util.h"
 
 namespace microspec {
@@ -68,6 +72,74 @@ TEST(SlottedPage, FillsUntilFull) {
     ASSERT_NE(page.GetTuple(static_cast<uint16_t>(i), &len), nullptr);
     EXPECT_EQ(len, sizeof(tuple));
   }
+}
+
+/// A slotted page with fixed-seed tuples and LSN, zero-filled first so the
+/// free gap is deterministic too.
+void MakeFixedPage(char* data) {
+  std::memset(data, 0, kPageSize);
+  SlottedPage::Init(data);
+  SlottedPage page(data);
+  Rng rng(2012);
+  for (int i = 0; i < 40; ++i) {
+    std::string tuple = rng.AlnumString(20, 120);
+    ASSERT_GE(page.InsertTuple(tuple.data(),
+                               static_cast<uint32_t>(tuple.size())),
+              0);
+  }
+  PageSetLsn(data, 0x0123456789ABCDEFull);
+}
+
+// The pinned values below were recorded with the byte-at-a-time CRC-32C
+// that predates the dispatched kernel: they fix the on-disk page and log
+// formats, so databases and logs written by either build open in the other.
+constexpr uint32_t kFixedPageChecksum = 0xFC6C420Du;
+constexpr uint32_t kFixedWalRecordCrc = 0xE95E9C0Au;
+
+TEST(PageChecksum, StampedValueIsPinned) {
+  alignas(8) char data[kPageSize];
+  MakeFixedPage(data);
+  PageStampChecksum(data);
+  uint32_t stored = 0;
+  std::memcpy(&stored, data + kPageChecksumOffset, sizeof(stored));
+  EXPECT_EQ(stored, kFixedPageChecksum);
+  EXPECT_TRUE(PageChecksumOk(data));
+}
+
+TEST(PageChecksum, AnySingleBitFlipIsCaught) {
+  alignas(8) char data[kPageSize];
+  MakeFixedPage(data);
+  PageStampChecksum(data);
+  Rng rng(512);
+  for (int i = 0; i < 512; ++i) {
+    uint64_t bit = rng.Uniform(uint64_t{kPageSize} * 8);
+    char mask = static_cast<char>(1u << (bit % 8));
+    data[bit / 8] ^= mask;
+    EXPECT_FALSE(PageChecksumOk(data)) << "bit " << bit;
+    data[bit / 8] ^= mask;
+  }
+  EXPECT_TRUE(PageChecksumOk(data));
+}
+
+TEST(WalFormat, RecordCrcIsPinned) {
+  ScratchDir dir;
+  std::string path = dir.path() + "/wal.log";
+  {
+    Wal::Options opts;
+    opts.group_commit = false;
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Wal> wal, Wal::Open(path, opts));
+    std::string payload;
+    walenc::EncodeTupleOp(&payload, 3, MakeTupleId(17, 5), "abcdef", 6);
+    Wal::AppendResult r = wal->Append(WalRecordType::kInsert, 7, 0, payload);
+    ASSERT_OK(wal->Commit(r.end_lsn));
+  }
+  std::ifstream f(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(f)),
+                    std::istreambuf_iterator<char>());
+  ASSERT_GE(bytes.size(), sizeof(WalRecordHeader));
+  uint32_t crc = 0;
+  std::memcpy(&crc, bytes.data(), sizeof(crc));
+  EXPECT_EQ(crc, kFixedWalRecordCrc);
 }
 
 TEST(DiskManager, PagesPersistAcrossReopen) {

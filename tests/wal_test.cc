@@ -1,10 +1,12 @@
 #include "storage/wal.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -129,6 +131,105 @@ TEST_F(WalTest, CorruptRecordStopsReadAll) {
   ASSERT_OK_AND_ASSIGN(std::vector<WalRecord> records, Wal::ReadAll(path()));
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].payload, "aaaa");
+}
+
+/// Appends records of varied payload sizes until the log is longer than
+/// `min_bytes`, flushes, and returns what was appended (payload i is filled
+/// with a byte derived from i so misplaced bytes show up).
+struct AppendedRecord {
+  Wal::AppendResult lsns;
+  std::string payload;
+};
+std::vector<AppendedRecord> AppendPast(Wal* wal, uint64_t min_bytes) {
+  std::vector<AppendedRecord> out;
+  for (uint64_t i = 0; wal->append_offset() <= min_bytes; ++i) {
+    std::string payload(3000 + (i * 977) % 20000,
+                        static_cast<char>('a' + i % 26));
+    Wal::AppendResult r =
+        wal->Append(WalRecordType::kInsert, i + 1, 0, payload);
+    out.push_back({r, std::move(payload)});
+  }
+  EXPECT_OK(wal->Flush());
+  return out;
+}
+
+TEST_F(WalTest, RecordStraddlingScanChunkReadsBack) {
+  std::vector<AppendedRecord> appended;
+  {
+    auto wal = OpenWal(/*group_commit=*/false);
+    appended = AppendPast(wal.get(), 2 * Wal::kScanChunkBytes + 1);
+  }
+  // At least one record spans the first chunk's end, so the scan has to
+  // refill mid-record.
+  bool straddles = false;
+  for (const AppendedRecord& a : appended) {
+    straddles |= a.lsns.start_lsn - 1 < Wal::kScanChunkBytes &&
+                 a.lsns.end_lsn > Wal::kScanChunkBytes;
+  }
+  ASSERT_TRUE(straddles);
+  ASSERT_OK_AND_ASSIGN(std::vector<WalRecord> records, Wal::ReadAll(path()));
+  ASSERT_EQ(records.size(), appended.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].start_lsn, appended[i].lsns.start_lsn);
+    EXPECT_EQ(records[i].end_lsn, appended[i].lsns.end_lsn);
+    EXPECT_EQ(records[i].txn_id, i + 1);
+    EXPECT_EQ(records[i].payload, appended[i].payload) << "record " << i;
+  }
+  // Open finds no torn tail.
+  auto wal = OpenWal();
+  EXPECT_EQ(wal->append_offset(), appended.back().lsns.end_lsn);
+}
+
+TEST_F(WalTest, TornTailInsideLastChunkTruncatedAtOpen) {
+  // Cut the last record inside its header, then inside its payload; both
+  // lie past the first chunk, so the tear is found by a later refill.
+  for (uint64_t keep_of_last : {uint64_t{10}, uint64_t{500}}) {
+    std::vector<AppendedRecord> appended;
+    {
+      auto wal = OpenWal(/*group_commit=*/false);
+      appended = AppendPast(wal.get(), Wal::kScanChunkBytes + 100000);
+    }
+    const uint64_t last_start = appended.back().lsns.start_lsn - 1;
+    ASSERT_GT(last_start, Wal::kScanChunkBytes);
+    ASSERT_EQ(::truncate(path().c_str(),
+                         static_cast<off_t>(last_start + keep_of_last)),
+              0);
+    ASSERT_OK_AND_ASSIGN(std::vector<WalRecord> records,
+                         Wal::ReadAll(path()));
+    ASSERT_EQ(records.size(), appended.size() - 1);
+    EXPECT_EQ(records.back().end_lsn, last_start);
+    {
+      auto wal = OpenWal();
+      EXPECT_EQ(wal->append_offset(), last_start);
+    }
+    std::ifstream f(path(), std::ios::binary | std::ios::ate);
+    EXPECT_EQ(static_cast<uint64_t>(f.tellg()), last_start);
+    std::remove(path().c_str());
+  }
+}
+
+TEST_F(WalTest, MaxPayloadIsTheLargestRecord) {
+  uint64_t max_start = 0;
+  uint64_t valid_end = 0;
+  {
+    auto wal = OpenWal(/*group_commit=*/false);
+    max_start = wal->Append(WalRecordType::kInsert, 1, 0,
+                            std::string(Wal::kMaxPayload, 'm'))
+                    .start_lsn;
+    valid_end = wal->Append(WalRecordType::kCommit, 1, max_start, "").end_lsn;
+    // One byte over the bound reads as garbage: the scan stops before it.
+    wal->Append(WalRecordType::kInsert, 2, 0,
+                std::string(Wal::kMaxPayload + 1, 'x'));
+    ASSERT_OK(wal->Flush());
+  }
+  ASSERT_OK_AND_ASSIGN(std::vector<WalRecord> records, Wal::ReadAll(path()));
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].payload, std::string(Wal::kMaxPayload, 'm'));
+  EXPECT_EQ(records[1].end_lsn, valid_end);
+  auto wal = OpenWal();
+  EXPECT_EQ(wal->append_offset(), valid_end);
+  ASSERT_OK_AND_ASSIGN(WalRecord rec, wal->ReadRecord(max_start));
+  EXPECT_EQ(rec.payload.size(), Wal::kMaxPayload);
 }
 
 TEST_F(WalTest, GroupCommitOneFsyncPerBatch) {
