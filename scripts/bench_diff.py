@@ -14,7 +14,10 @@ specializer changed behaviour).
 Exit code 1 when any *timing* metric regressed beyond the threshold
 (default 5%): metrics named *_seconds regress when the candidate is slower,
 *speedup / *improvement_pct / *rows_per_sec regress when the candidate is
-smaller. Everything else is informational.
+smaller. Metrics already in percent (*_pct) are compared by their
+difference in percentage points against the same threshold: a relative
+change of a difference of two totals mostly measures the noise of both.
+Everything else is informational.
 """
 
 import argparse
@@ -91,6 +94,11 @@ LOWER_IS_BETTER = ("_seconds",)
 HIGHER_IS_BETTER = ("speedup", "improvement_pct", "rows_per_sec")
 
 
+def is_pct(metric):
+    """Percentages compare in points, not relative to themselves."""
+    return metric.endswith("_pct")
+
+
 def classify(metric):
     """'lower' / 'higher' / None (informational)."""
     if any(metric.endswith(s) for s in LOWER_IS_BETTER):
@@ -156,8 +164,12 @@ def main():
                          fmt(vb) if vb is not None else "-", "-", "added"
                          if va is None else "removed"))
             continue
-        d = delta_pct(va, vb)
-        d_str = "%+.2f%%" % d if d is not None else "-"
+        if is_pct(metric):
+            d = vb - va
+            d_str = "%+.2fpp" % d
+        else:
+            d = delta_pct(va, vb)
+            d_str = "%+.2f%%" % d if d is not None else "-"
         direction = classify(metric)
         flag = ""
         if d is not None and direction == "lower" and d > args.threshold_pct:
@@ -167,7 +179,8 @@ def main():
         if flag:
             regressions.append(name)
         rows.append((name, fmt(va), fmt(vb), d_str, flag))
-    print_table("results (threshold %.1f%%)" % args.threshold_pct, rows,
+    print_table("results (threshold %.1f%%; *_pct in points)"
+                % args.threshold_pct, rows,
                 ["metric", "baseline", "candidate", "delta", ""])
 
     # --- telemetry -------------------------------------------------------------

@@ -248,14 +248,11 @@ Status UndoTransactionChain(Database* db, uint64_t txn_id, uint64_t last_lsn,
   return Status::OK();
 }
 
-Result<RecoveryStats> RunRecovery(Database* db) {
+Result<RecoveryStats> RunRecovery(Database* db,
+                                  std::vector<WalRecord> records) {
   RecoveryStats stats;
   Wal* wal = db->wal();
-  if (wal == nullptr) return stats;
-  MICROSPEC_ASSIGN_OR_RETURN(
-      std::vector<WalRecord> records,
-      Wal::ReadAll(db->options().dir + "/wal.log"));
-  if (records.empty()) return stats;
+  if (wal == nullptr || records.empty()) return stats;
   stats.ran = true;
   stats.records_scanned = records.size();
 
@@ -377,6 +374,10 @@ Result<RecoveryStats> RunRecovery(Database* db) {
         break;  // kBegin/kCommit/kAbort/kCheckpoint carry no page mutation
     }
   }
+
+  // Undo walks its chains through Wal::ReadRecord, and the rebuild below
+  // reads the heaps: the scanned records are done with.
+  std::vector<WalRecord>().swap(records);
 
   // --- Undo: roll back the losers -------------------------------------------
   // Highest txn first (reverse begin order approximates reverse LSN order;

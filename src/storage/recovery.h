@@ -30,9 +30,10 @@ struct RecoveryStats {
 /// records, repeats history (redo gated on page LSNs, applied through the
 /// per-relation log bees), undoes loser transactions writing CLRs, then
 /// rebuilds tuple counts and B+tree indexes by heap scan. Called by
-/// Database::Open when wal_enabled; the database must be freshly opened
-/// (empty catalog, clean buffer pool).
-Result<RecoveryStats> RunRecovery(Database* db);
+/// Database::Open when wal_enabled with the records Wal::Open's scan read;
+/// the database must be freshly opened (empty catalog, clean buffer pool).
+Result<RecoveryStats> RunRecovery(Database* db,
+                                  std::vector<WalRecord> records);
 
 /// Shared by restart undo and runtime rollback (Database::AbortTxn): walks
 /// one transaction's prev_lsn chain backwards from `last_lsn`, applying the

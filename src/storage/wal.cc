@@ -248,7 +248,8 @@ uint64_t ScanLog(int fd, uint64_t size, std::vector<WalRecord>* out) {
 }  // namespace
 
 Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
-                                       const Options& options) {
+                                       const Options& options,
+                                       std::vector<WalRecord>* records) {
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
   if (fd < 0) {
     return Status::IoError("open " + path + ": " + std::strerror(errno));
@@ -258,7 +259,7 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
     ::close(fd);
     return Status::IoError("lseek " + path + ": " + std::strerror(errno));
   }
-  uint64_t valid_end = ScanLog(fd, static_cast<uint64_t>(size), nullptr);
+  uint64_t valid_end = ScanLog(fd, static_cast<uint64_t>(size), records);
   if (valid_end != static_cast<uint64_t>(size)) {
     // Torn tail from a crash mid-pwrite: truncate so the next flush appends
     // over clean ground and a re-scan sees only whole records.

@@ -168,9 +168,13 @@ class Wal {
   };
 
   /// Opens (creating if necessary) the log at `path`, scans it validating
-  /// record CRCs, truncates any torn tail, and starts the flusher.
-  static Result<std::unique_ptr<Wal>> Open(const std::string& path,
-                                           const Options& options);
+  /// record CRCs, truncates any torn tail, and starts the flusher. When
+  /// `records` is non-null the same scan also returns every valid record
+  /// (what ReadAll would read after the truncation), so restart recovery
+  /// reads the log once.
+  static Result<std::unique_ptr<Wal>> Open(
+      const std::string& path, const Options& options,
+      std::vector<WalRecord>* records = nullptr);
   ~Wal();
   MICROSPEC_DISALLOW_COPY_AND_MOVE(Wal);
 
@@ -198,7 +202,8 @@ class Wal {
   Result<WalRecord> ReadRecord(uint64_t start_lsn);
 
   /// Reads every valid record from a closed log file, stopping cleanly at
-  /// the first torn/short/corrupt record. Recovery's input.
+  /// the first torn/short/corrupt record. For tests and tools; restart
+  /// recovery takes its records from Open's scan.
   static Result<std::vector<WalRecord>> ReadAll(const std::string& path);
 
   /// Drops the pending buffer and suppresses the destructor's final flush:

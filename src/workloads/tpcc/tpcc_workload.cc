@@ -23,6 +23,59 @@ Result<TupleId> PkLookup(IndexInfo* idx, const IndexKey& key) {
   return tid;
 }
 
+/// One WAL transaction around a modifying TPC-C transaction: its statements
+/// share one kBegin, one kCommit and one log sync, and a failed statement or
+/// a crash leaves none of them behind. Inert on a database without a WAL:
+/// get() stays nullptr and each statement writes in place.
+class TxnScope {
+ public:
+  explicit TxnScope(Database* db) : db_(db) {}
+  /// A transaction still open here is rolled back. Finish and Abort report a
+  /// rollback error; this path can only drop it.
+  ~TxnScope() {
+    if (active_) (void)db_->AbortTxn(&txn_);
+  }
+  MICROSPEC_DISALLOW_COPY_AND_MOVE(TxnScope);
+
+  Status Begin() {
+    if (db_->wal() == nullptr) return Status::OK();
+    MICROSPEC_ASSIGN_OR_RETURN(txn_, db_->BeginTxn());
+    active_ = true;
+    return Status::OK();
+  }
+
+  /// The transaction to pass to every Insert/Update/Delete; nullptr when
+  /// none is active.
+  WalTxn* get() { return active_ ? &txn_ : nullptr; }
+
+  Status Commit() {
+    if (!active_) return Status::OK();
+    active_ = false;
+    return db_->CommitTxn(&txn_);
+  }
+
+  Status Abort() {
+    if (!active_) return Status::OK();
+    active_ = false;
+    return db_->AbortTxn(&txn_);
+  }
+
+  /// Ends the transaction by the outcome of its statements: commits when
+  /// `body` is OK, otherwise rolls back and returns `body`.
+  Status Finish(Status body) {
+    if (body.ok()) return Commit();
+    Status undo = Abort();
+    if (undo.ok()) return body;
+    return Status(undo.code(), "rollback after \"" + body.ToString() +
+                                   "\" failed: " + undo.message());
+  }
+
+ private:
+  Database* db_;
+  WalTxn txn_;
+  bool active_ = false;
+};
+
 }  // namespace
 
 TpccWorkload::TpccWorkload(Database* db, TpccConfig config)
@@ -90,7 +143,9 @@ Status TpccWorkload::Load() {
       v[kWState] = tupleops::MakeFixedChar(&arena, "AZ", 2);
       v[kWZip] = tupleops::MakeFixedChar(&arena, "123456789", 9);
       v[kWTax] = DatumFromFloat64(rng.UniformRange(0, 2000) / 10000.0);
-      v[kWYtd] = DatumFromFloat64(300000.0);
+      // Spec: 300,000 over 10 districts of 30,000 each; scaled with the
+      // district count so w_ytd = sum(d_ytd) holds (consistency condition 1).
+      v[kWYtd] = DatumFromFloat64(30000.0 * config_.districts_per_warehouse);
       MICROSPEC_RETURN_NOT_OK(db_->Insert(ctx.get(), t_.warehouse, v, nullptr).status());
     }
 
@@ -263,89 +318,124 @@ Status TpccWorkload::NewOrder(ExecContext* ctx, Rng& rng) {
       rng.UniformRange(1, config_.districts_per_warehouse));
   int32_t c = static_cast<int32_t>(
       rng.NonUniform(1023, 1, config_.customers_per_district));
-
-  // District: allocate the order id and bump d_next_o_id.
-  Datum dv[10];
-  bool dn[10];
-  MICROSPEC_ASSIGN_OR_RETURN(TupleId dtid,
-                             PkLookup(t_.district_pk, IndexKey::Of({w, d})));
-  MICROSPEC_RETURN_NOT_OK(db_->ReadTuple(ctx, t_.district, dtid, dv, dn));
-  int32_t o_id = DatumToInt32(dv[kDNextOId]);
-  dv[kDNextOId] = DatumFromInt32(o_id + 1);
-  MICROSPEC_RETURN_NOT_OK(
-      db_->Update(ctx, t_.district, dtid, dv, dn).status());
-
   int ol_cnt = static_cast<int>(rng.UniformRange(5, 15));
+  // Spec 2.4.1.4: 1% of NewOrders name an unused item on their last line
+  // and roll back when its lookup fails.
+  const bool rollback = rng.UniformRange(1, 100) == 1;
 
-  // orders + neworder rows.
-  {
-    Datum ov[8];
-    bool on[8] = {false, false, false, false, false, true, false, false};
-    ov[kOId] = DatumFromInt32(o_id);
-    ov[kODId] = DatumFromInt32(d);
-    ov[kOWId] = DatumFromInt32(w);
-    ov[kOCId] = DatumFromInt32(c);
-    ov[kOEntryD] = DatumFromInt32(kToday);
-    ov[kOCarrierId] = 0;  // NULL
-    ov[kOOlCnt] = DatumFromInt32(ol_cnt);
-    ov[kOAllLocal] = DatumFromInt32(1);
-    MICROSPEC_RETURN_NOT_OK(db_->Insert(ctx, t_.orders, ov, on).status());
-
-    Datum nv[3] = {DatumFromInt32(o_id), DatumFromInt32(d),
-                   DatumFromInt32(w)};
-    MICROSPEC_RETURN_NOT_OK(db_->Insert(ctx, t_.neworder, nv, nullptr).status());
-  }
-
-  Arena arena;
-  for (int l = 1; l <= ol_cnt; ++l) {
-    int32_t i_id =
-        static_cast<int32_t>(rng.NonUniform(8191, 1, config_.items));
-    int32_t supply_w = w;
+  struct Line {
+    int32_t i_id;
+    int32_t supply_w;
+    int32_t qty;
+  };
+  Line lines[15] = {};
+  for (int l = 0; l < ol_cnt; ++l) {
+    Line& line = lines[l];
+    line.i_id = static_cast<int32_t>(rng.NonUniform(8191, 1, config_.items));
+    line.supply_w = w;
     if (config_.warehouses > 1 && rng.Uniform(100) == 0) {
-      supply_w = static_cast<int32_t>(
+      line.supply_w = static_cast<int32_t>(
           rng.UniformRange(1, config_.warehouses));  // remote line
     }
-    int32_t qty = static_cast<int32_t>(rng.UniformRange(1, 10));
-
-    Datum iv[5];
-    bool in_[5];
-    MICROSPEC_ASSIGN_OR_RETURN(TupleId itid,
-                               PkLookup(t_.item_pk, IndexKey::Of({i_id})));
-    MICROSPEC_RETURN_NOT_OK(db_->ReadTuple(ctx, t_.item, itid, iv, in_));
-    double price = DatumToFloat64(iv[kIPrice]);
-
-    Datum sv[8];
-    bool sn[8];
-    MICROSPEC_ASSIGN_OR_RETURN(
-        TupleId stid, PkLookup(t_.stock_pk, IndexKey::Of({supply_w, i_id})));
-    MICROSPEC_RETURN_NOT_OK(db_->ReadTuple(ctx, t_.stock, stid, sv, sn));
-    int32_t squant = DatumToInt32(sv[kSQuantity]);
-    squant = squant - qty >= 10 ? squant - qty : squant - qty + 91;
-    sv[kSQuantity] = DatumFromInt32(squant);
-    sv[kSYtd] = DatumFromFloat64(DatumToFloat64(sv[kSYtd]) + qty);
-    sv[kSOrderCnt] = DatumFromInt32(DatumToInt32(sv[kSOrderCnt]) + 1);
-    if (supply_w != w) {
-      sv[kSRemoteCnt] = DatumFromInt32(DatumToInt32(sv[kSRemoteCnt]) + 1);
-    }
-    MICROSPEC_RETURN_NOT_OK(db_->Update(ctx, t_.stock, stid, sv, sn).status());
-
-    Datum ol[10];
-    bool oln[10] = {false, false, false, false, false,
-                    false, true,  false, false, false};
-    ol[kOlOId] = DatumFromInt32(o_id);
-    ol[kOlDId] = DatumFromInt32(d);
-    ol[kOlWId] = DatumFromInt32(w);
-    ol[kOlNumber] = DatumFromInt32(l);
-    ol[kOlIId] = DatumFromInt32(i_id);
-    ol[kOlSupplyWId] = DatumFromInt32(supply_w);
-    ol[kOlDeliveryD] = 0;  // NULL
-    ol[kOlQuantity] = DatumFromInt32(qty);
-    ol[kOlAmount] = DatumFromFloat64(qty * price);
-    ol[kOlDistInfo] = tupleops::MakeFixedChar(&arena, "dist-info-filler-24ch",
-                                              24);
-    MICROSPEC_RETURN_NOT_OK(db_->Insert(ctx, t_.orderline, ol, oln).status());
+    line.qty = static_cast<int32_t>(rng.UniformRange(1, 10));
   }
-  return Status::OK();
+  if (rollback) lines[ol_cnt - 1].i_id = config_.items + 1;
+
+  TxnScope txn(db_);
+  MICROSPEC_RETURN_NOT_OK(txn.Begin());
+  // Without a log there is no undo, so the unused item is caught before the
+  // first write and the transaction writes nothing.
+  if (rollback && txn.get() == nullptr) return Status::OK();
+
+  bool unused_item = false;
+  Status st = [&]() -> Status {
+    // District: allocate the order id and bump d_next_o_id.
+    Datum dv[10];
+    bool dn[10];
+    MICROSPEC_ASSIGN_OR_RETURN(TupleId dtid,
+                               PkLookup(t_.district_pk, IndexKey::Of({w, d})));
+    MICROSPEC_RETURN_NOT_OK(db_->ReadTuple(ctx, t_.district, dtid, dv, dn));
+    int32_t o_id = DatumToInt32(dv[kDNextOId]);
+    dv[kDNextOId] = DatumFromInt32(o_id + 1);
+    MICROSPEC_RETURN_NOT_OK(
+        db_->Update(ctx, t_.district, dtid, dv, dn, false, txn.get())
+            .status());
+
+    // orders + neworder rows.
+    {
+      Datum ov[8];
+      bool on[8] = {false, false, false, false, false, true, false, false};
+      ov[kOId] = DatumFromInt32(o_id);
+      ov[kODId] = DatumFromInt32(d);
+      ov[kOWId] = DatumFromInt32(w);
+      ov[kOCId] = DatumFromInt32(c);
+      ov[kOEntryD] = DatumFromInt32(kToday);
+      ov[kOCarrierId] = 0;  // NULL
+      ov[kOOlCnt] = DatumFromInt32(ol_cnt);
+      ov[kOAllLocal] = DatumFromInt32(1);
+      MICROSPEC_RETURN_NOT_OK(
+          db_->Insert(ctx, t_.orders, ov, on, txn.get()).status());
+
+      Datum nv[3] = {DatumFromInt32(o_id), DatumFromInt32(d),
+                     DatumFromInt32(w)};
+      MICROSPEC_RETURN_NOT_OK(
+          db_->Insert(ctx, t_.neworder, nv, nullptr, txn.get()).status());
+    }
+
+    Arena arena;
+    for (int l = 1; l <= ol_cnt; ++l) {
+      const Line& line = lines[l - 1];
+      Datum iv[5];
+      bool in_[5];
+      Result<TupleId> itid = PkLookup(t_.item_pk, IndexKey::Of({line.i_id}));
+      if (!itid.ok()) {
+        unused_item = rollback && l == ol_cnt;
+        return itid.status();
+      }
+      MICROSPEC_RETURN_NOT_OK(db_->ReadTuple(ctx, t_.item, *itid, iv, in_));
+      double price = DatumToFloat64(iv[kIPrice]);
+
+      Datum sv[8];
+      bool sn[8];
+      MICROSPEC_ASSIGN_OR_RETURN(
+          TupleId stid,
+          PkLookup(t_.stock_pk, IndexKey::Of({line.supply_w, line.i_id})));
+      MICROSPEC_RETURN_NOT_OK(db_->ReadTuple(ctx, t_.stock, stid, sv, sn));
+      int32_t squant = DatumToInt32(sv[kSQuantity]);
+      squant = squant - line.qty >= 10 ? squant - line.qty
+                                       : squant - line.qty + 91;
+      sv[kSQuantity] = DatumFromInt32(squant);
+      sv[kSYtd] = DatumFromFloat64(DatumToFloat64(sv[kSYtd]) + line.qty);
+      sv[kSOrderCnt] = DatumFromInt32(DatumToInt32(sv[kSOrderCnt]) + 1);
+      if (line.supply_w != w) {
+        sv[kSRemoteCnt] = DatumFromInt32(DatumToInt32(sv[kSRemoteCnt]) + 1);
+      }
+      MICROSPEC_RETURN_NOT_OK(
+          db_->Update(ctx, t_.stock, stid, sv, sn, false, txn.get())
+              .status());
+
+      Datum ol[10];
+      bool oln[10] = {false, false, false, false, false,
+                      false, true,  false, false, false};
+      ol[kOlOId] = DatumFromInt32(o_id);
+      ol[kOlDId] = DatumFromInt32(d);
+      ol[kOlWId] = DatumFromInt32(w);
+      ol[kOlNumber] = DatumFromInt32(l);
+      ol[kOlIId] = DatumFromInt32(line.i_id);
+      ol[kOlSupplyWId] = DatumFromInt32(line.supply_w);
+      ol[kOlDeliveryD] = 0;  // NULL
+      ol[kOlQuantity] = DatumFromInt32(line.qty);
+      ol[kOlAmount] = DatumFromFloat64(line.qty * price);
+      ol[kOlDistInfo] = tupleops::MakeFixedChar(&arena,
+                                                "dist-info-filler-24ch", 24);
+      MICROSPEC_RETURN_NOT_OK(
+          db_->Insert(ctx, t_.orderline, ol, oln, txn.get()).status());
+    }
+    return Status::OK();
+  }();
+  // The rolled-back NewOrder is an expected outcome, not a failure.
+  if (unused_item) return txn.Abort();
+  return txn.Finish(std::move(st));
 }
 
 Status TpccWorkload::Payment(ExecContext* ctx, Rng& rng) {
@@ -357,44 +447,55 @@ Status TpccWorkload::Payment(ExecContext* ctx, Rng& rng) {
       rng.NonUniform(1023, 1, config_.customers_per_district));
   double amount = rng.UniformRange(100, 500000) / 100.0;
 
-  Datum wv[8];
-  bool wn[8];
-  MICROSPEC_ASSIGN_OR_RETURN(TupleId wtid,
-                             PkLookup(t_.warehouse_pk, IndexKey::Of({w})));
-  MICROSPEC_RETURN_NOT_OK(db_->ReadTuple(ctx, t_.warehouse, wtid, wv, wn));
-  wv[kWYtd] = DatumFromFloat64(DatumToFloat64(wv[kWYtd]) + amount);
-  MICROSPEC_RETURN_NOT_OK(db_->Update(ctx, t_.warehouse, wtid, wv, wn).status());
+  TxnScope txn(db_);
+  MICROSPEC_RETURN_NOT_OK(txn.Begin());
+  Status st = [&]() -> Status {
+    Datum wv[8];
+    bool wn[8];
+    MICROSPEC_ASSIGN_OR_RETURN(TupleId wtid,
+                               PkLookup(t_.warehouse_pk, IndexKey::Of({w})));
+    MICROSPEC_RETURN_NOT_OK(db_->ReadTuple(ctx, t_.warehouse, wtid, wv, wn));
+    wv[kWYtd] = DatumFromFloat64(DatumToFloat64(wv[kWYtd]) + amount);
+    MICROSPEC_RETURN_NOT_OK(
+        db_->Update(ctx, t_.warehouse, wtid, wv, wn, false, txn.get())
+            .status());
 
-  Datum dv[10];
-  bool dn[10];
-  MICROSPEC_ASSIGN_OR_RETURN(TupleId dtid,
-                             PkLookup(t_.district_pk, IndexKey::Of({w, d})));
-  MICROSPEC_RETURN_NOT_OK(db_->ReadTuple(ctx, t_.district, dtid, dv, dn));
-  dv[kDYtd] = DatumFromFloat64(DatumToFloat64(dv[kDYtd]) + amount);
-  MICROSPEC_RETURN_NOT_OK(db_->Update(ctx, t_.district, dtid, dv, dn).status());
+    Datum dv[10];
+    bool dn[10];
+    MICROSPEC_ASSIGN_OR_RETURN(TupleId dtid,
+                               PkLookup(t_.district_pk, IndexKey::Of({w, d})));
+    MICROSPEC_RETURN_NOT_OK(db_->ReadTuple(ctx, t_.district, dtid, dv, dn));
+    dv[kDYtd] = DatumFromFloat64(DatumToFloat64(dv[kDYtd]) + amount);
+    MICROSPEC_RETURN_NOT_OK(
+        db_->Update(ctx, t_.district, dtid, dv, dn, false, txn.get())
+            .status());
 
-  Datum cv[20];
-  bool cn[20];
-  MICROSPEC_ASSIGN_OR_RETURN(
-      TupleId ctid, PkLookup(t_.customer_pk, IndexKey::Of({w, d, c})));
-  MICROSPEC_RETURN_NOT_OK(db_->ReadTuple(ctx, t_.customer, ctid, cv, cn));
-  cv[kCBalance] = DatumFromFloat64(DatumToFloat64(cv[kCBalance]) - amount);
-  cv[kCYtdPayment] =
-      DatumFromFloat64(DatumToFloat64(cv[kCYtdPayment]) + amount);
-  cv[kCPaymentCnt] = DatumFromInt32(DatumToInt32(cv[kCPaymentCnt]) + 1);
-  MICROSPEC_RETURN_NOT_OK(db_->Update(ctx, t_.customer, ctid, cv, cn).status());
+    Datum cv[20];
+    bool cn[20];
+    MICROSPEC_ASSIGN_OR_RETURN(
+        TupleId ctid, PkLookup(t_.customer_pk, IndexKey::Of({w, d, c})));
+    MICROSPEC_RETURN_NOT_OK(db_->ReadTuple(ctx, t_.customer, ctid, cv, cn));
+    cv[kCBalance] = DatumFromFloat64(DatumToFloat64(cv[kCBalance]) - amount);
+    cv[kCYtdPayment] =
+        DatumFromFloat64(DatumToFloat64(cv[kCYtdPayment]) + amount);
+    cv[kCPaymentCnt] = DatumFromInt32(DatumToInt32(cv[kCPaymentCnt]) + 1);
+    MICROSPEC_RETURN_NOT_OK(
+        db_->Update(ctx, t_.customer, ctid, cv, cn, false, txn.get())
+            .status());
 
-  Arena arena;
-  Datum hv[8];
-  hv[kHCId] = DatumFromInt32(c);
-  hv[kHCDId] = DatumFromInt32(d);
-  hv[kHCWId] = DatumFromInt32(w);
-  hv[kHDId] = DatumFromInt32(d);
-  hv[kHWId] = DatumFromInt32(w);
-  hv[kHDate] = DatumFromInt32(kToday);
-  hv[kHAmount] = DatumFromFloat64(amount);
-  hv[kHData] = tupleops::MakeVarlena(&arena, "payment-history-data");
-  return db_->Insert(ctx, t_.history, hv, nullptr).status();
+    Arena arena;
+    Datum hv[8];
+    hv[kHCId] = DatumFromInt32(c);
+    hv[kHCDId] = DatumFromInt32(d);
+    hv[kHCWId] = DatumFromInt32(w);
+    hv[kHDId] = DatumFromInt32(d);
+    hv[kHWId] = DatumFromInt32(w);
+    hv[kHDate] = DatumFromInt32(kToday);
+    hv[kHAmount] = DatumFromFloat64(amount);
+    hv[kHData] = tupleops::MakeVarlena(&arena, "payment-history-data");
+    return db_->Insert(ctx, t_.history, hv, nullptr, txn.get()).status();
+  }();
+  return txn.Finish(std::move(st));
 }
 
 Status TpccWorkload::OrderStatus(ExecContext* ctx, Rng& rng) {
@@ -446,61 +547,71 @@ Status TpccWorkload::Delivery(ExecContext* ctx, Rng& rng) {
   int32_t w = static_cast<int32_t>(rng.UniformRange(1, config_.warehouses));
   int32_t carrier = static_cast<int32_t>(rng.UniformRange(1, 10));
 
-  for (int32_t d = 1; d <= config_.districts_per_warehouse; ++d) {
-    // Oldest undelivered order of the district.
-    TupleId notid = kInvalidTupleId;
-    int64_t o_id = -1;
-    t_.neworder_pk->btree->ScanPrefix(
-        IndexKey::Of({w, d}), [&](const IndexKey& k, TupleId tid) {
-          notid = tid;
-          o_id = k.part[2];
-          return false;  // first = oldest
-        });
-    if (notid == kInvalidTupleId) continue;  // district fully delivered
+  TxnScope txn(db_);
+  MICROSPEC_RETURN_NOT_OK(txn.Begin());
+  Status st = [&]() -> Status {
+    for (int32_t d = 1; d <= config_.districts_per_warehouse; ++d) {
+      // Oldest undelivered order of the district.
+      TupleId notid = kInvalidTupleId;
+      int64_t o_id = -1;
+      t_.neworder_pk->btree->ScanPrefix(
+          IndexKey::Of({w, d}), [&](const IndexKey& k, TupleId tid) {
+            notid = tid;
+            o_id = k.part[2];
+            return false;  // first = oldest
+          });
+      if (notid == kInvalidTupleId) continue;  // district fully delivered
 
-    MICROSPEC_RETURN_NOT_OK(db_->Delete(ctx, t_.neworder, notid));
-
-    Datum ov[8];
-    bool on[8];
-    MICROSPEC_ASSIGN_OR_RETURN(
-        TupleId otid,
-        PkLookup(t_.orders_pk, IndexKey::Of({w, d, o_id})));
-    MICROSPEC_RETURN_NOT_OK(db_->ReadTuple(ctx, t_.orders, otid, ov, on));
-    int32_t c = DatumToInt32(ov[kOCId]);
-    ov[kOCarrierId] = DatumFromInt32(carrier);
-    on[kOCarrierId] = false;
-    MICROSPEC_RETURN_NOT_OK(db_->Update(ctx, t_.orders, otid, ov, on).status());
-
-    // Stamp the delivery date on each line and total the amounts.
-    double total = 0;
-    std::vector<TupleId> line_tids;
-    t_.orderline_pk->btree->ScanPrefix(
-        IndexKey::Of({w, d, o_id}), [&](const IndexKey&, TupleId tid) {
-          line_tids.push_back(tid);
-          return true;
-        });
-    for (TupleId tid : line_tids) {
-      Datum lv[10];
-      bool ln[10];
-      MICROSPEC_RETURN_NOT_OK(db_->ReadTuple(ctx, t_.orderline, tid, lv, ln));
-      total += DatumToFloat64(lv[kOlAmount]);
-      lv[kOlDeliveryD] = DatumFromInt32(kToday);
-      ln[kOlDeliveryD] = false;
       MICROSPEC_RETURN_NOT_OK(
-          db_->Update(ctx, t_.orderline, tid, lv, ln).status());
-    }
+          db_->Delete(ctx, t_.neworder, notid, txn.get()));
 
-    Datum cv[20];
-    bool cn[20];
-    MICROSPEC_ASSIGN_OR_RETURN(
-        TupleId ctid, PkLookup(t_.customer_pk, IndexKey::Of({w, d, c})));
-    MICROSPEC_RETURN_NOT_OK(db_->ReadTuple(ctx, t_.customer, ctid, cv, cn));
-    cv[kCBalance] = DatumFromFloat64(DatumToFloat64(cv[kCBalance]) + total);
-    cv[kCDeliveryCnt] = DatumFromInt32(DatumToInt32(cv[kCDeliveryCnt]) + 1);
-    MICROSPEC_RETURN_NOT_OK(
-        db_->Update(ctx, t_.customer, ctid, cv, cn).status());
-  }
-  return Status::OK();
+      Datum ov[8];
+      bool on[8];
+      MICROSPEC_ASSIGN_OR_RETURN(
+          TupleId otid, PkLookup(t_.orders_pk, IndexKey::Of({w, d, o_id})));
+      MICROSPEC_RETURN_NOT_OK(db_->ReadTuple(ctx, t_.orders, otid, ov, on));
+      int32_t c = DatumToInt32(ov[kOCId]);
+      ov[kOCarrierId] = DatumFromInt32(carrier);
+      on[kOCarrierId] = false;
+      MICROSPEC_RETURN_NOT_OK(
+          db_->Update(ctx, t_.orders, otid, ov, on, false, txn.get())
+              .status());
+
+      // Stamp the delivery date on each line and total the amounts.
+      double total = 0;
+      std::vector<TupleId> line_tids;
+      t_.orderline_pk->btree->ScanPrefix(
+          IndexKey::Of({w, d, o_id}), [&](const IndexKey&, TupleId tid) {
+            line_tids.push_back(tid);
+            return true;
+          });
+      for (TupleId tid : line_tids) {
+        Datum lv[10];
+        bool ln[10];
+        MICROSPEC_RETURN_NOT_OK(
+            db_->ReadTuple(ctx, t_.orderline, tid, lv, ln));
+        total += DatumToFloat64(lv[kOlAmount]);
+        lv[kOlDeliveryD] = DatumFromInt32(kToday);
+        ln[kOlDeliveryD] = false;
+        MICROSPEC_RETURN_NOT_OK(
+            db_->Update(ctx, t_.orderline, tid, lv, ln, false, txn.get())
+                .status());
+      }
+
+      Datum cv[20];
+      bool cn[20];
+      MICROSPEC_ASSIGN_OR_RETURN(
+          TupleId ctid, PkLookup(t_.customer_pk, IndexKey::Of({w, d, c})));
+      MICROSPEC_RETURN_NOT_OK(db_->ReadTuple(ctx, t_.customer, ctid, cv, cn));
+      cv[kCBalance] = DatumFromFloat64(DatumToFloat64(cv[kCBalance]) + total);
+      cv[kCDeliveryCnt] = DatumFromInt32(DatumToInt32(cv[kCDeliveryCnt]) + 1);
+      MICROSPEC_RETURN_NOT_OK(
+          db_->Update(ctx, t_.customer, ctid, cv, cn, false, txn.get())
+              .status());
+    }
+    return Status::OK();
+  }();
+  return txn.Finish(std::move(st));
 }
 
 Status TpccWorkload::StockLevel(ExecContext* ctx, Rng& rng) {

@@ -52,10 +52,15 @@ struct TxnCounts {
 };
 
 /// The TPC-C workload: loader, the five transaction types, and a
-/// multi-terminal throughput driver. Isolation is a single database-wide
-/// reader/writer lock (modification transactions exclusive, query
-/// transactions shared) — both engine configurations pay it identically, so
-/// throughput *ratios* are unaffected (see README's fidelity notes).
+/// multi-terminal throughput driver. On a database with a WAL, each
+/// modifying transaction (NewOrder, Payment, Delivery) is one WAL
+/// transaction: its statements commit together, with one log sync, and a
+/// failed statement rolls all of them back. The read-only ones (OrderStatus,
+/// StockLevel) begin none. Without a WAL every statement writes in place.
+/// Isolation is a single database-wide reader/writer lock (modification
+/// transactions exclusive, query transactions shared) — both engine
+/// configurations pay it identically, so throughput *ratios* are unaffected
+/// (see README's fidelity notes).
 class TpccWorkload {
  public:
   TpccWorkload(Database* db, TpccConfig config);
@@ -65,7 +70,11 @@ class TpccWorkload {
 
   /// --- The five transactions -------------------------------------------------
   /// Each runs against `ctx`'s session (bee routines per its options) and
-  /// draws its parameters from `rng`.
+  /// draws its parameters from `rng`. Per spec 2.4.1.4, 1% of NewOrders
+  /// name an unused item on their last line: with a WAL the failed lookup
+  /// rolls back the writes made so far (Database::AbortTxn); without one the
+  /// item is caught before the first write. Either way NewOrder returns OK,
+  /// because a rollback is an expected outcome, not a failure.
   Status NewOrder(ExecContext* ctx, Rng& rng);
   Status Payment(ExecContext* ctx, Rng& rng);
   Status OrderStatus(ExecContext* ctx, Rng& rng);
