@@ -1,6 +1,6 @@
 // Bee inspector: shows what the bee module actually builds for a relation —
-// the compiled GCL deform program (the portable backend), the generated
-// Listing-2-style C source (the native backend), and the tuple-bee data
+// the compiled GCL deform program (the portable backend), the Listing-2-style
+// C source lowered from it (the native backend), and the tuple-bee data
 // sections after loading data.
 //
 //   ./build/examples/example_bee_inspector
@@ -28,7 +28,7 @@
 //
 // With --fuzz it runs the mutation-fuzz proof harness: thousands of seeded
 // single-step mutants across every verification family (GCL, SCL, EVP, EVJ,
-// native-gcl, native-evp), each of which must be rejected. Optional
+// logapp), each of which must be rejected. Optional
 // arguments pin the seed and per-family mutant count; the exit code is
 // non-zero if any catalog-inconsistent mutant goes undetected.
 //
@@ -93,19 +93,17 @@ int VerifyAll(Database* db, const char* label) {
                                         state->stored_schema(),
                                         state->spec_cols());
     }
-    bool native_checked = false;
-    if (st.ok() && !state->native_source().empty()) {
-      native_checked = true;
-      st = bee::BeeVerifier::LintNativeGclSource(
-          state->native_source(), t->schema(), state->stored_schema(),
-          state->spec_cols());
-    }
+    // The native source is lowered from the programs just verified, so
+    // there is no separate native check to run.
+    const bool native_lowered = !state->native_source().empty();
     if (st.ok()) {
       std::printf("  %-12s ok (%zu deform steps, %zu form steps%s%s)\n",
                   t->name().c_str(), state->gcl().steps().size(),
                   state->scl().steps().size(),
                   state->has_tuple_bees() ? ", tuple bees" : "",
-                  native_checked ? ", native linted" : "");
+                  native_lowered
+                      ? ", native lowered from the verified program"
+                      : "");
     } else {
       std::printf("  %-12s REJECTED: %s\n", t->name().c_str(),
                   st.ToString().c_str());
@@ -417,7 +415,7 @@ int RunSlowMode() {
 /// through scripts/check.sh with a pinned seed).
 int RunFuzzMode(int argc, char** argv) {
   uint64_t seed = 0xC0FFEE;
-  int per_family = 350;
+  int per_family = 400;
   if (argc > 2) seed = std::strtoull(argv[2], nullptr, 0);
   if (argc > 3) per_family = std::atoi(argv[3]);
   std::printf("mutation fuzz: seed 0x%llx, %d mutants per family\n\n",
@@ -477,10 +475,11 @@ int main(int argc, char** argv) {
   std::printf("\n\n--- GCL deform program (portable backend) ---\n%s",
               state->gcl().ToString().c_str());
 
-  std::printf("\n--- generated C source (native backend, cf. Listing 2) ---\n");
-  std::string src = bee::NativeJit::GenerateGclSource(
-      orders->schema(), state->stored_schema(), state->spec_cols(),
-      "bee_gcl_orders");
+  std::printf(
+      "\n--- C source lowered from the programs (native backend, cf. "
+      "Listing 2) ---\n");
+  std::string src = bee::NativeJit::LowerRelationBee(
+      state->gcl().steps(), state->log_applier().steps(), "bee_gcl_orders");
   std::printf("%s", src.c_str());
 
   bee::TupleBeeManager* bees = state->tuple_bees();

@@ -179,24 +179,10 @@ Status RelationBeeState::Build(const BeeModuleOptions& options) {
   if (!spec_cols_.empty()) {
     bees_ = std::make_unique<TupleBeeManager>(&logical_, spec_cols_);
   }
-  if (options.backend == BeeBackend::kNative &&
-      NativeJit::CompilerAvailable()) {
-    // Source generation is cheap string work and happens here, on the DDL
-    // thread; verification, the compiler invocation, and the dlopen are the
-    // forge's job (bee/forge.h) and never block CREATE TABLE in async mode.
-    // The log applier rides in the same translation unit so the triple
-    // (scalar GCL, GCL-B, log applier) ships and publishes atomically.
-    native_symbol_ = "bee_gcl_t" + std::to_string(table_->id());
-    native_source_ = NativeJit::GenerateGclSource(logical_, stored_,
-                                                  spec_cols_, native_symbol_);
-    native_source_ += NativeJit::GenerateLogApplierSource(
-        stored_, !spec_cols_.empty(), native_symbol_);
-  }
   // Static verification of the program tier before its routines become
   // reachable: a bad bee is a silent data-corruption bug, so a reject
   // refuses installation under kEnforce and degrades to a loud warning
-  // under kWarn. The native source is linted off-thread by the forge under
-  // the same mode right before compilation.
+  // under kWarn.
   if (options.verify != VerifyMode::kOff) {
     Status st = BeeVerifier::VerifyDeform(gcl_, logical_, stored_, spec_cols_);
     if (st.ok()) {
@@ -222,6 +208,19 @@ Status RelationBeeState::Build(const BeeModuleOptions& options) {
       }
     }
   }
+  if (options.backend == BeeBackend::kNative &&
+      NativeJit::CompilerAvailable()) {
+    // The native tier is a second lowering of the programs just verified,
+    // so every constant in the C text comes from a checked step. Lowering
+    // is cheap string work and happens here, on the DDL thread; the
+    // compiler invocation and the dlopen are the forge's job (bee/forge.h)
+    // and never block CREATE TABLE in async mode. The log applier rides in
+    // the same translation unit so the triple (scalar GCL, GCL-B, log
+    // applier) ships and publishes atomically.
+    native_symbol_ = "bee_gcl_t" + std::to_string(table_->id());
+    native_source_ = NativeJit::LowerRelationBee(
+        gcl_.steps(), log_applier_.steps(), native_symbol_);
+  }
   deformer_ = std::make_unique<GclDeformer>(this);
   former_ = std::make_unique<SclFormer>(this);
   return Status::OK();
@@ -233,8 +232,8 @@ BeeModule::BeeModule(BeeModuleOptions options)
   if (!options_.cache_dir.empty()) EnsureDir(options_.cache_dir);
   if (options_.backend == BeeBackend::kNative &&
       NativeJit::CompilerAvailable()) {
-    forge_ = std::make_unique<Forge>(&jit_, options_.verify,
-                                     options_.cache_dir, options_.forge);
+    forge_ = std::make_unique<Forge>(&jit_, options_.cache_dir,
+                                     options_.forge);
   }
 }
 

@@ -41,8 +41,9 @@ struct BeeModuleOptions {
   bool placement_isolation = true;
   /// Directory for generated bee sources/objects and the on-disk bee cache.
   std::string cache_dir;
-  /// Static verification of freshly compiled bee routines (both backends)
-  /// before they are installed. Tests run under kEnforce.
+  /// Static verification of freshly compiled bee programs before they are
+  /// installed; the native tier is lowered from the verified programs.
+  /// Tests run under kEnforce.
   VerifyMode verify = VerifyMode::kOff;
   /// Background native-compilation service configuration (kNative only).
   ForgeOptions forge;
@@ -71,7 +72,7 @@ struct BeeStats {
 /// (program and optionally native), and the tuple-bee manager.
 ///
 /// The native routine pointer is the forge's publish point: workers install
-/// it with a release store after off-thread verification, and the deform hot
+/// it with a release store after the off-thread compile, and the deform hot
 /// path reads it with an acquire load per tuple — a scan racing a promotion
 /// keeps executing the program tier and picks up native code on its next
 /// tuple, with no pause and no torn state.
@@ -80,10 +81,11 @@ class RelationBeeState {
   RelationBeeState(TableInfo* table, std::vector<int> spec_cols);
   MICROSPEC_DISALLOW_COPY_AND_MOVE(RelationBeeState);
 
-  /// Compiles the GCL/SCL programs, generates (but does not compile) the
-  /// native source when requested, and verifies the programs per
-  /// `options.verify` before they become reachable. Native compilation is
-  /// the forge's job — nothing here shells out to a compiler.
+  /// Compiles the GCL/SCL/log-applier programs, verifies them per
+  /// `options.verify` before they become reachable, and then, when the
+  /// native backend is requested, lowers them to C (but does not compile
+  /// it). Native compilation is the forge's job — nothing here shells out
+  /// to a compiler.
   Status Build(const BeeModuleOptions& options);
 
   const Schema& logical_schema() const { return logical_; }
@@ -126,12 +128,12 @@ class RelationBeeState {
   ForgePhase forge_phase() const {
     return phase_.load(std::memory_order_acquire);
   }
-  /// Last compile/verify diagnostic; meaningful once kPinned is observed
+  /// Last compile diagnostic; meaningful once kPinned is observed
   /// (written before the phase's release store).
   const std::string& forge_error() const { return forge_error_; }
 
   /// Atomic publish: called by a forge worker (or the sync path) after the
-  /// routines have been verified and dlopened. The batch routine is stored
+  /// routines have been compiled and dlopened. The batch routine is stored
   /// first so any thread that observes the scalar tier as native finds its
   /// batch sibling already in place (each store is release; the hot paths
   /// load each pointer with its own acquire anyway).
@@ -204,7 +206,7 @@ class RelationBeeState {
   TableInfo* table_;
   std::string name_;
   std::vector<int> spec_cols_;
-  /// Value copies: a forge worker may still be verifying/compiling against
+  /// Value copies: a forge worker may still be compiling against
   /// these after the catalog entry (and TableInfo) is gone.
   Schema logical_;
   Schema stored_;

@@ -40,10 +40,8 @@ const char* ForgePhaseName(ForgePhase phase) {
   return "?";
 }
 
-Forge::Forge(NativeJit* jit, VerifyMode verify, std::string cache_dir,
-             ForgeOptions options)
+Forge::Forge(NativeJit* jit, std::string cache_dir, ForgeOptions options)
     : jit_(jit),
-      verify_(verify),
       cache_dir_(std::move(cache_dir)),
       options_(options) {
   if (options_.async) {
@@ -168,52 +166,12 @@ void Forge::ProcessJob(Job job) {
   state->SetForgePhase(ForgePhase::kCompiling);
   Trace("started", state->table_name());
 
-  // Off-thread verification — the same VerifyMode path CREATE TABLE used to
-  // run inline. A reject never retries (the generated source is
-  // deterministic); under kEnforce it pins the relation to the program
-  // tier, under kWarn it is logged and compilation proceeds.
-  if (verify_ != VerifyMode::kOff) {
-    Status st = BeeVerifier::LintNativeGclSource(
-        state->native_source(), state->logical_schema(),
-        state->stored_schema(), state->spec_cols());
-    if (!st.ok()) {
-      // Rejections surface through telemetry (counter + trace event), not
-      // stderr; under kEnforce the relation pins to the program tier.
-      if (BeeVerifier::ReportReject("native-gcl", state->table_name(), st,
-                                    verify_)) {
-        state->PinToProgram("native bee rejected: " + st.message());
-        Trace("pinned", state->table_name());
-        std::lock_guard<std::mutex> guard(mutex_);
-        ++stats_.failures;
-        ++stats_.pinned;
-        return;
-      }
-    }
-    // The log applier rides in the same translation unit and promotes with
-    // the GCL pair, so a rejected applier pins the whole relation: better a
-    // program-tier scan path than a native recovery path with a wrong
-    // burned-in constant.
-    Status lst = BeeVerifier::LintNativeLogApplierSource(
-        state->native_source(), state->logical_schema(),
-        state->stored_schema(), state->spec_cols());
-    if (!lst.ok()) {
-      if (BeeVerifier::ReportReject("native-logapp", state->table_name(), lst,
-                                    verify_)) {
-        state->PinToProgram("native log bee rejected: " + lst.message());
-        Trace("pinned", state->table_name());
-        std::lock_guard<std::mutex> guard(mutex_);
-        ++stats_.failures;
-        ++stats_.pinned;
-        return;
-      }
-    }
-  }
-
   auto t0 = std::chrono::steady_clock::now();
   // One compile covers all three routines: the scalar GCL entry point, its
   // GCL-B page-batch sibling, and the log-bee applier live in the same
-  // generated translation unit and promote together.
-  Result<NativeGclTriple> fn = jit_->CompileSourceTriple(
+  // translation unit, lowered from programs the verifier already checked at
+  // CREATE TABLE, and promote together.
+  Result<NativeGclTriple> fn = jit_->Compile(
       state->native_source(), cache_dir_, state->native_symbol());
   double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

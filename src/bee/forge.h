@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "bee/verifier.h"
 #include "common/macros.h"
 #include "common/thread_pool.h"
 
@@ -25,8 +24,8 @@ class RelationBeeState;
 enum class ForgePhase : uint8_t {
   kProgram,    // program tier only; no native compile requested
   kPending,    // native compile queued, waiting for a forge worker
-  kCompiling,  // a forge worker is verifying/compiling right now
-  kPromoted,   // native routine verified, compiled, and published
+  kCompiling,  // a forge worker is compiling right now
+  kPromoted,   // native routines compiled and published
   kPinned,     // compilation failed permanently; program tier forever
 };
 
@@ -65,9 +64,10 @@ struct ForgeStats {
 /// the portable program-backend bee synchronously and enqueues native GCL
 /// compilation here; worker threads pick the *hottest* pending relation
 /// (by its observed deform/form invocation count — re-read at dispatch time,
-/// so priorities track the workload as it shifts), verify the generated
-/// source through the existing VerifyMode path, compile it off-thread, and
-/// publish the routine with an atomic store. Scans racing a promotion keep
+/// so priorities track the workload as it shifts), compile its lowered
+/// source off-thread, and publish the routines with an atomic store. The
+/// source is lowered from programs the verifier checked at CREATE TABLE,
+/// so the forge has nothing left to verify. Scans racing a promotion keep
 /// running on the program tier and pick up native code on their next tuple.
 ///
 /// Failures retry with capped exponential backoff; after
@@ -76,8 +76,7 @@ struct ForgeStats {
 /// RelationBeeState for inspection.
 class Forge {
  public:
-  Forge(NativeJit* jit, VerifyMode verify, std::string cache_dir,
-        ForgeOptions options);
+  Forge(NativeJit* jit, std::string cache_dir, ForgeOptions options);
   /// Cancels pending jobs, waits for in-flight compiles, joins the workers.
   ~Forge();
   MICROSPEC_DISALLOW_COPY_AND_MOVE(Forge);
@@ -107,11 +106,10 @@ class Forge {
   /// One such task is submitted per pending job, so tasks ≥ jobs always.
   void RunOne();
 
-  /// Verify + compile + publish for one job; handles retry/pin bookkeeping.
+  /// Compile + publish for one job; handles retry/pin bookkeeping.
   void ProcessJob(Job job);
 
   NativeJit* jit_;
-  const VerifyMode verify_;
   const std::string cache_dir_;
   const ForgeOptions options_;
 

@@ -56,9 +56,9 @@ LogLenBounds ComputeLogLenBounds(const Schema& stored);
 
 /// Per-relation log bee, program tier: a short checked-apply program
 /// compiled from the catalog at CREATE TABLE (and at recovery-time catalog
-/// rebuild), interpreted by Apply(). The native tier is generated C with
-/// the same constants burned in (NativeJit::GenerateLogApplierSource),
-/// forged asynchronously like GCL.
+/// rebuild), interpreted by Apply(). The native tier is these same steps
+/// lowered to C (NativeJit::LowerRelationBee, one template per LogStepOp)
+/// after the verifier has checked them, and is forged beside GCL.
 class LogApplierProgram {
  public:
   LogApplierProgram() = default;

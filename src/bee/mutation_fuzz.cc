@@ -1,6 +1,5 @@
 #include "bee/mutation_fuzz.h"
 
-#include <cstring>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -8,7 +7,6 @@
 
 #include "bee/deform_program.h"
 #include "bee/log_bee.h"
-#include "bee/native_jit.h"
 #include "bee/placement.h"
 #include "bee/query_bee.h"
 #include "bee/verifier.h"
@@ -17,8 +15,6 @@
 #include "common/rng.h"
 #include "common/telemetry.h"
 #include "expr/expr.h"
-#include "storage/page.h"
-#include "storage/tuple.h"
 
 namespace microspec::bee {
 
@@ -530,168 +526,6 @@ FuzzFamilyReport FuzzEvj(Rng* rng, int rounds) {
   return rep;
 }
 
-/// --- Native-source mutations -----------------------------------------------
-
-bool ReplaceAll(std::string* s, const std::string& from,
-                const std::string& to) {
-  bool any = false;
-  size_t at = 0;
-  while ((at = s->find(from, at)) != std::string::npos) {
-    s->replace(at, from.size(), to);
-    at += to.size();
-    any = true;
-  }
-  return any;
-}
-
-/// Adds a textual mutation candidate if its token exists. Replacing ALL
-/// occurrences matters: a token shared by the scalar and batch halves (or by
-/// two clauses) must vanish everywhere, or the lint's forward cursor could
-/// match a later copy and miss the mutation.
-void AddTextCand(std::vector<Candidate>* cands, std::string* src,
-                 const std::string& name, std::string from, std::string to) {
-  if (src->find(from) == std::string::npos) return;
-  cands->push_back({name, [src, from = std::move(from),
-                           to = std::move(to)] {
-                      ReplaceAll(src, from, to);
-                    }});
-}
-
-FuzzFamilyReport FuzzNativeGcl(Rng* rng, int rounds) {
-  FuzzFamilyReport rep;
-  rep.family = "native-gcl";
-  for (int round = 0; round < rounds; ++round) {
-    Schema logical = RandomSchema(rng);
-    std::vector<int> spec_cols;
-    Schema stored = logical;
-    if (round % 4 == 0) {
-      // Tuple-bee configuration: column 0 specialized into a data section.
-      spec_cols = {0};
-      std::vector<Column> rest;
-      for (int i = 1; i < logical.natts(); ++i) {
-        rest.push_back(logical.column(i));
-      }
-      stored = Schema(std::move(rest));
-    }
-    std::string src = NativeJit::GenerateGclSource(logical, stored, spec_cols,
-                                                   "fuzz_gcl");
-    if (!BeeVerifier::LintNativeGclSource(src, logical, stored, spec_cols)
-             .ok()) {
-      RecordBroken(&rep, "native-gcl baseline rejected");
-      continue;
-    }
-
-    const int natts = logical.natts();
-    std::vector<Candidate> cands;
-    AddTextCand(&cands, &src, "isnull-memset-corrupt", "memset(isnull, 0",
-                "memset(isnull, 1");
-    AddTextCand(&cands, &src, "batch-signature-corrupt",
-                "_b(const char* const* tuples", "_b(const char* tuples");
-    AddTextCand(&cands, &src, "page-loop-overrun",
-                "for (int r = 0; r < ntuples; ++r)",
-                "for (int r = 0; r <= ntuples; ++r)");
-    AddTextCand(&cands, &src, "tuple-load-pinned", "tuples[r]", "tuples[0]");
-    int gi = static_cast<int>(rng->Uniform(static_cast<uint64_t>(natts)));
-    AddTextCand(&cands, &src, "early-out-drop",
-                "if (natts < " + std::to_string(gi + 1) + ") return;", "");
-    AddTextCand(&cands, &src, "batch-guard-returns",
-                "if (natts < " + std::to_string(gi + 1) + ") break;",
-                "if (natts < " + std::to_string(gi + 1) + ") return;");
-    for (int i = 0; i < natts; ++i) {
-      if (!spec_cols.empty() && i == 0) continue;
-      AddTextCand(&cands, &src, "store-redirect",
-                  "values[" + std::to_string(i) + "]", "values[97]");
-      AddTextCand(&cands, &src, "batch-store-pinned",
-                  "cols[" + std::to_string(i) + "][r]",
-                  "cols[" + std::to_string(i) + "][0]");
-      AddTextCand(&cands, &src, "null-clear-drop",
-                  "nulls[" + std::to_string(i) + "][r] = 0", "");
-      break;  // one attribute's worth per round keeps the pool balanced
-    }
-    uint32_t hoff = TupleHeaderSize(stored.natts(), /*has_nulls=*/false);
-    if (hoff != 0) {
-      AddTextCand(&cands, &src, "header-offset-drift",
-                  "tuple + " + std::to_string(hoff), "tuple + 0");
-    }
-    if (!spec_cols.empty()) {
-      AddTextCand(&cands, &src, "section-slot-drift", "sec[0]", "sec[7]");
-    }
-    AddTextCand(&cands, &src, "alignment-mask-drop", "& ~7u", "");
-
-    std::string mutation;
-    Pick(rng, &cands, &mutation);
-    Status st =
-        BeeVerifier::LintNativeGclSource(src, logical, stored, spec_cols);
-    RecordOutcome(&rep, st, mutation, "native gcl source");
-  }
-  return rep;
-}
-
-FuzzFamilyReport FuzzNativeEvp(Rng* rng, int rounds) {
-  FuzzFamilyReport rep;
-  rep.family = "native-evp";
-  for (int round = 0; round < rounds; ++round) {
-    ExprPtr expr = EvpCorpusExpr(rng->Uniform(6));
-    PlacementArena arena;
-    std::unique_ptr<EvpBee> bee =
-        TrySpecializePredicate(*expr, &arena, /*input_nullable=*/true);
-    if (bee == nullptr) {
-      RecordBroken(&rep, "native-evp specializer returned null");
-      continue;
-    }
-    std::string src = NativeJit::GenerateEvpSource(*bee, "fuzz_evp");
-    if (!BeeVerifier::LintNativeEvpSource(src, *bee).ok()) {
-      RecordBroken(&rep, "native-evp baseline rejected");
-      continue;
-    }
-
-    std::vector<Candidate> cands;
-    AddTextCand(&cands, &src, "row-signature-corrupt",
-                "(const unsigned long* values, const char* isnull)",
-                "(const unsigned long* values)");
-    AddTextCand(&cands, &src, "batch-signature-corrupt",
-                "_b(const unsigned long* const* cols",
-                "_b(const unsigned long* cols");
-    AddTextCand(&cands, &src, "clause-marker-corrupt", "/* clause ",
-                "/* klause ");
-    AddTextCand(&cands, &src, "batch-null-guard-drop",
-                "if (nul[r]) continue;", "");
-    AddTextCand(&cands, &src, "compaction-loop-overrun",
-                "for (int i = 0; i < nsel; ++i)",
-                "for (int i = 0; i <= nsel; ++i)");
-    AddTextCand(&cands, &src, "selection-vector-bypass",
-                "const int r = sel[i];", "const int r = i;");
-    AddTextCand(&cands, &src, "compaction-writeback-drop",
-                "sel[out++] = r;", "");
-    AddTextCand(&cands, &src, "live-count-stale", "nsel = out;", "");
-    AddTextCand(&cands, &src, "empty-early-out-drop",
-                "if (nsel == 0) return 0;", "");
-    AddTextCand(&cands, &src, "batch-return-corrupt", "return nsel;",
-                "return 0;");
-    size_t j = rng->Uniform(bee->clauses().size());
-    std::string a = std::to_string(bee->clauses()[j].ctx->attno);
-    std::string js = std::to_string(j);
-    AddTextCand(&cands, &src, "row-null-guard-drop",
-                "if (isnull[" + a + "]) return 0;", "");
-    AddTextCand(&cands, &src, "row-dispatch-redirect",
-                "_clause(" + js + ", values[" + a + "])",
-                "_clause(" + js + ", values[63])");
-    AddTextCand(&cands, &src, "batch-dispatch-pinned",
-                "_clause(" + js + ", col[r])",
-                "_clause(" + js + ", col[0])");
-    AddTextCand(&cands, &src, "batch-column-redirect", "cols[" + a + "]",
-                "cols[63]");
-    AddTextCand(&cands, &src, "batch-nulls-redirect", "nulls[" + a + "]",
-                "nulls[63]");
-
-    std::string mutation;
-    Pick(rng, &cands, &mutation);
-    Status st = BeeVerifier::LintNativeEvpSource(src, *bee);
-    RecordOutcome(&rep, st, mutation, "native evp source");
-  }
-  return rep;
-}
-
 /// --- Log bees: program-tier applier mutations -----------------------------
 
 /// Splits a random logical schema into a (logical, stored, spec_cols)
@@ -776,81 +610,6 @@ FuzzFamilyReport FuzzLogApplier(Rng* rng, int rounds) {
   return rep;
 }
 
-FuzzFamilyReport FuzzNativeLogApplier(Rng* rng, int rounds) {
-  FuzzFamilyReport rep;
-  rep.family = "native-logapp";
-  for (int round = 0; round < rounds; ++round) {
-    Schema logical, stored;
-    std::vector<int> spec_cols;
-    LogBeeConfig(rng, round, &logical, &stored, &spec_cols);
-    std::string src = NativeJit::GenerateLogApplierSource(
-        stored, !spec_cols.empty(), "fuzz_la");
-    if (!BeeVerifier::LintNativeLogApplierSource(src, logical, stored,
-                                                 spec_cols)
-             .ok()) {
-      RecordBroken(&rep, "native-logapp baseline rejected");
-      continue;
-    }
-
-    auto u = [](uint32_t v) { return std::to_string(v) + "u"; };
-    const uint32_t natts = static_cast<uint32_t>(stored.natts());
-    const uint32_t hoff = TupleHeaderSize(stored.natts(), /*has_nulls=*/false);
-    const uint32_t hoffn = TupleHeaderSize(stored.natts(), /*has_nulls=*/true);
-    const std::string flag = spec_cols.empty() ? "0u" : "1u";
-    const std::string flip = spec_cols.empty() ? "1u" : "0u";
-
-    std::vector<Candidate> cands;
-    AddTextCand(&cands, &src, "natts-literal-drift",
-                "if (natts != " + u(natts) + ") return 11;",
-                "if (natts != " + u(natts + 1) + ") return 11;");
-    AddTextCand(&cands, &src, "bee-flag-flip", "!= " + flag + ") return 12;",
-                "!= " + flip + ") return 12;");
-    AddTextCand(&cands, &src, "hoff-drift",
-                "(flags & 1u) ? " + u(hoffn) + " : " + u(hoff) + ")",
-                "(flags & 1u) ? " + u(hoffn) + " : " + u(hoff + 8) + ")");
-    AddTextCand(&cands, &src, "len-check-drop",
-                "|| len > ", "|| 0 && len > ");
-    AddTextCand(&cands, &src, "fresh-slot-guard-drop",
-                "if (slot != sc) return 20;", "");
-    AddTextCand(&cands, &src, "insert-mask-drop",
-                "unsigned int need = (len + 7u) & ~7u;",
-                "unsigned int need = len;");
-    AddTextCand(&cands, &src, "free-space-check-drop",
-                "if ((unsigned int)fe - (unsigned int)fs < need + 4u) "
-                "return 21;",
-                "");
-    // The escape the kill-and-replay differential found: an insert that
-    // never persists the decremented free end stacks every redone tuple at
-    // one offset. The lint must refuse a source with the writeback gone.
-    AddTextCand(&cands, &src, "free-end-writeback-drop",
-                "memcpy(page + " + u(kPageFreeEndOffset) + ", &fe, 2);", "");
-    AddTextCand(&cands, &src, "slot-count-offset-drift", "page + 12u",
-                "page + 10u");
-    AddTextCand(&cands, &src, "slot-stride-drift", "24u + 4u * slot",
-                "24u + 2u * slot");
-    AddTextCand(&cands, &src, "delete-range-guard-drop",
-                "if (slot >= sc) return 30;", "");
-    AddTextCand(&cands, &src, "dead-slot-guard-flip",
-                "if (sl == 0u) return 31;", "if (sl == 1u) return 31;");
-    AddTextCand(&cands, &src, "restore-bound-drop",
-                "if ((unsigned int)so + len > " + u(kPageSize) +
-                    ") return 42;",
-                "");
-    AddTextCand(&cands, &src, "update-fit-drop",
-                "if (((len + 7u) & ~7u) > (((unsigned int)sl + 7u) & ~7u)) "
-                "return 52;",
-                "");
-
-    std::string mutation;
-    Pick(rng, &cands, &mutation);
-    Status st =
-        BeeVerifier::LintNativeLogApplierSource(src, logical, stored,
-                                                spec_cols);
-    RecordOutcome(&rep, st, mutation, "native log applier source");
-  }
-  return rep;
-}
-
 }  // namespace
 
 int FuzzReport::mutants() const {
@@ -893,10 +652,7 @@ FuzzReport RunMutationFuzz(uint64_t seed, int mutants_per_family) {
   rep.families.push_back(FuzzScl(&rng, mutants_per_family));
   rep.families.push_back(FuzzEvp(&rng, mutants_per_family));
   rep.families.push_back(FuzzEvj(&rng, mutants_per_family));
-  rep.families.push_back(FuzzNativeGcl(&rng, mutants_per_family));
-  rep.families.push_back(FuzzNativeEvp(&rng, mutants_per_family));
   rep.families.push_back(FuzzLogApplier(&rng, mutants_per_family));
-  rep.families.push_back(FuzzNativeLogApplier(&rng, mutants_per_family));
   return rep;
 }
 

@@ -8,7 +8,7 @@
 namespace microspec::bee {
 
 /// One mutation family's tally: how many single-step mutants were generated
-/// and how many the verifier/lint rejected. Every mutant this harness emits
+/// and how many the verifier rejected. Every mutant this harness emits
 /// is catalog-inconsistent by construction (each mutation targets an
 /// invariant the layout model pins exactly), so `escapes` lists genuine
 /// soundness holes, not noise.
@@ -31,12 +31,12 @@ struct FuzzReport {
 };
 
 /// Runs the mutation-fuzz proof harness: for each verification family
-/// ("gcl", "scl", "evp", "evj", "native-gcl", "native-evp", "logapp",
-/// "native-logapp") generates
-/// `mutants_per_family` single-step mutants of freshly compiled bees (or
-/// generated native sources) from a deterministic RNG seeded with `seed`,
-/// and checks that the corresponding BeeVerifier entry point rejects each
-/// one. Same seed, same report — byte for byte — so CI can pin a seed.
+/// ("gcl", "scl", "evp", "evj", "logapp") generates `mutants_per_family`
+/// single-step mutants of freshly compiled bees from a deterministic RNG
+/// seeded with `seed`, and checks that the corresponding BeeVerifier entry
+/// point rejects each one. The native tier has no family of its own: it is
+/// lowered from the same verified steps. Same seed, same report — byte for
+/// byte — so CI can pin a seed.
 FuzzReport RunMutationFuzz(uint64_t seed, int mutants_per_family);
 
 }  // namespace microspec::bee

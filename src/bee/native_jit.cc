@@ -12,8 +12,7 @@
 #include <cstring>
 #include <functional>
 
-#include "bee/log_bee.h"
-#include "common/align.h"
+#include "storage/page.h"
 #include "storage/tuple.h"
 
 extern char** environ;
@@ -84,80 +83,178 @@ Status RunCommand(const std::vector<std::string>& argv,
                                              : -1));
 }
 
-/// Emits the straight-line per-attribute extraction shared by the scalar
-/// and batch (GCL-B) routines. `out(i)` names attribute i's destination
-/// lvalue; `stop` is the statement ending extraction once `natts` is
-/// exhausted ("return" in the scalar routine, "break" inside the batch
-/// routine's page loop — a `return` there would skip the remaining tuples);
-/// `null_out` when set emits a per-attribute null clear (the batch routine
-/// writes column-major, so there is no contiguous isnull run to memset).
-void EmitGclAtts(const Schema& logical, const std::vector<int>& slot_of,
-                 const std::string& indent, const char* stop,
-                 const std::function<std::string(int)>& out,
-                 const std::function<std::string(int)>& null_out,
-                 std::string* srcp) {
+/// The C template of one DeformOp: the statement(s) that load step `s`
+/// into the lvalue `o`. Fixed-offset ops fold the verified offset (arg) in
+/// as a literal, and kFixedVarlena starts the running cursor `off` from it;
+/// dynamic ops first align `off` by the step's verified alignment, then
+/// load and advance it; kSection reads slot `arg` of the tuple's data
+/// section — a hole of Listing 2.
+void LowerDeformStep(const DeformStep& s, const std::string& indent,
+                     const std::string& o, std::string* srcp) {
   std::string& src = *srcp;
-  bool fixed_mode = true;
-  uint32_t off = 0;
-  for (int i = 0; i < logical.natts(); ++i) {
-    const Column& c = logical.column(i);
-    std::string o = out(i);
-    src += indent + "if (natts < " + std::to_string(i + 1) + ") " + stop +
-           ";\n";
-    if (null_out != nullptr) src += indent + null_out(i) + " = 0;\n";
-    if (slot_of[static_cast<size_t>(i)] >= 0) {
-      src += indent + o + " = sec[" +
-             std::to_string(slot_of[static_cast<size_t>(i)]) + "];\n";
-      continue;
-    }
-    uint32_t align = static_cast<uint32_t>(c.attalign());
-    if (fixed_mode) {
-      off = AlignUp32(off, align);
-      std::string at = "tp + " + std::to_string(off);
-      if (c.byval()) {
-        if (c.attlen() == 1) {
-          src += indent + o + " = (Datum)(unsigned char)*(" + at + ");\n";
-          off += 1;
-        } else if (c.attlen() == 4) {
-          src += indent + "{ int32_t v; memcpy(&v, " + at + ", 4); " + o +
-                 " = (Datum)(long)v; }\n";
-          off += 4;
-        } else {
-          src += indent + "memcpy(&" + o + ", " + at + ", 8);\n";
-          off += 8;
-        }
-      } else if (c.attlen() == kVariableLength) {
-        src += indent + o + " = (Datum)(" + at + ");\n";
-        src += indent + "{ uint32_t sz; memcpy(&sz, " + at + ", 4); off = " +
-               std::to_string(off) + " + sz; }\n";
-        fixed_mode = false;
-      } else {
-        src += indent + o + " = (Datum)(" + at + ");\n";
-        off += static_cast<uint32_t>(c.attlen());
-      }
-    } else {
-      if (align > 1) {
-        src += indent + "off = (off + " + std::to_string(align - 1) +
-               "u) & ~" + std::to_string(align - 1) + "u;\n";
-      }
-      if (c.byval()) {
-        if (c.attlen() == 1) {
-          src += indent + o + " = (Datum)(unsigned char)tp[off]; off += 1;\n";
-        } else if (c.attlen() == 4) {
-          src += indent + "{ int32_t v; memcpy(&v, tp + off, 4); " + o +
-                 " = (Datum)(long)v; off += 4; }\n";
-        } else {
-          src += indent + "memcpy(&" + o + ", tp + off, 8); off += 8;\n";
-        }
-      } else if (c.attlen() == kVariableLength) {
-        src += indent + o + " = (Datum)(tp + off);\n";
-        src += indent + "{ uint32_t sz; memcpy(&sz, tp + off, 4); off += sz; }\n";
-      } else {
-        src += indent + o + " = (Datum)(tp + off); off += " +
-               std::to_string(c.attlen()) + ";\n";
-      }
-    }
+  const std::string arg = std::to_string(s.arg);
+  const std::string at = "tp + " + arg;
+  switch (s.op) {
+    case DeformOp::kFixed1:
+      src += indent + o + " = (Datum)(unsigned char)*(" + at + ");\n";
+      return;
+    case DeformOp::kFixed4:
+      src += indent + "{ int32_t v; memcpy(&v, " + at + ", 4); " + o +
+             " = (Datum)(long)v; }\n";
+      return;
+    case DeformOp::kFixed8:
+      src += indent + "memcpy(&" + o + ", " + at + ", 8);\n";
+      return;
+    case DeformOp::kFixedChar:
+      src += indent + o + " = (Datum)(" + at + ");\n";
+      return;
+    case DeformOp::kFixedVarlena:
+      src += indent + o + " = (Datum)(" + at + ");\n";
+      src += indent + "{ uint32_t sz; memcpy(&sz, " + at + ", 4); off = " +
+             arg + " + sz; }\n";
+      return;
+    case DeformOp::kSection:
+      src += indent + o + " = sec[" + arg + "];\n";
+      return;
+    default:
+      break;  // the dynamic ops below
   }
+  if (s.align > 1) {
+    const std::string mask = std::to_string(s.align - 1) + "u";
+    src += indent + "off = (off + " + mask + ") & ~" + mask + ";\n";
+  }
+  switch (s.op) {
+    case DeformOp::kDyn1:
+      src += indent + o + " = (Datum)(unsigned char)tp[off]; off += 1;\n";
+      return;
+    case DeformOp::kDyn4:
+      src += indent + "{ int32_t v; memcpy(&v, tp + off, 4); " + o +
+             " = (Datum)(long)v; off += 4; }\n";
+      return;
+    case DeformOp::kDyn8:
+      src += indent + "memcpy(&" + o + ", tp + off, 8); off += 8;\n";
+      return;
+    case DeformOp::kDynChar:
+      src += indent + o + " = (Datum)(tp + off); off += " +
+             std::to_string(s.len) + ";\n";
+      return;
+    case DeformOp::kDynVarlena:
+      src += indent + o + " = (Datum)(tp + off);\n";
+      src += indent + "{ uint32_t sz; memcpy(&sz, tp + off, 4); off += sz; }\n";
+      return;
+    default:
+      return;  // fixed ops and kSection returned above
+  }
+}
+
+/// Lowers the fast-path steps once per routine. Each attribute gets its
+/// `natts` early-out: `stop` is "return" in the scalar routine and "break"
+/// inside the batch routine's per-tuple body (a `return` there would skip
+/// the remaining tuples of the page). `null_out` when set emits a
+/// per-attribute null clear (the batch routine writes column-major, so
+/// there is no contiguous isnull run to memset).
+void LowerDeformSteps(const std::vector<DeformStep>& steps,
+                      const std::string& indent, const char* stop,
+                      const std::function<std::string(int)>& out,
+                      const std::function<std::string(int)>& null_out,
+                      std::string* src) {
+  for (const DeformStep& s : steps) {
+    *src += indent + "if (natts < " + std::to_string(s.out + 1) + ") " + stop +
+            ";\n";
+    if (null_out != nullptr) *src += indent + null_out(s.out) + " = 0;\n";
+    LowerDeformStep(s, indent, out(s.out), src);
+  }
+}
+
+std::string U(uint32_t v) { return std::to_string(v) + "u"; }
+
+/// The C template of one LogStepOp. The checks run inside the `op != 1`
+/// block (a delete carries no image); the hoff check reads the `flags`
+/// byte the bee-flag check loaded, which always precedes it in the
+/// canonical step order the verifier enforces. kApply is the fixed
+/// slotted-page mutation bodies for ops 0-3, which depend on no schema.
+void LowerLogStep(const LogStep& s, std::string* srcp) {
+  std::string& src = *srcp;
+  switch (s.op) {
+    case LogStepOp::kCheckNatts:
+      src += "    if (len < " + U(sizeof(TupleHeader)) + ") return 10;\n";
+      src += "    uint16_t natts; memcpy(&natts, img + 0, 2);\n";
+      src += "    if (natts != " + U(s.arg) + ") return 11;\n";
+      return;
+    case LogStepOp::kCheckBeeFlag:
+      src += "    unsigned char flags = (unsigned char)img[2];\n";
+      src += "    if (((flags & 2u) != 0u) != " + U(s.arg) + ") return 12;\n";
+      return;
+    case LogStepOp::kCheckHoff:
+      src += "    uint16_t hoff; memcpy(&hoff, img + 4, 2);\n";
+      src += "    if (hoff != ((flags & 1u) ? " + U(s.arg2) + " : " + U(s.arg) +
+             ")) return 13;\n";
+      return;
+    case LogStepOp::kCheckLen:
+      src += "    if (len < " + U(s.arg) + " || len > " + U(s.arg2) +
+             ") return 14;\n";
+      return;
+    case LogStepOp::kApply:
+      break;
+  }
+  const std::string slot_entry = "    unsigned int se = " + U(kPageHeaderSize) +
+                                 " + " + U(kPageSlotSize) + " * slot;\n";
+  src += "  if (op == 0) {\n";
+  src += "    if (slot != sc) return 20;\n";
+  src += "    uint16_t fs; memcpy(&fs, page + " + U(kPageFreeStartOffset) +
+         ", 2);\n";
+  src += "    uint16_t fe; memcpy(&fe, page + " + U(kPageFreeEndOffset) +
+         ", 2);\n";
+  src += "    unsigned int need = (len + 7u) & ~7u;\n";
+  src += "    if ((unsigned int)fe - (unsigned int)fs < need + " +
+         U(kPageSlotSize) + ") return 21;\n";
+  src += "    fe = (uint16_t)(fe - need);\n";
+  src += "    memcpy(page + fe, img, len);\n";
+  src += slot_entry;
+  src += "    memcpy(page + se, &fe, 2);\n";
+  src += "    uint16_t sl = (uint16_t)len;\n";
+  src += "    memcpy(page + se + 2u, &sl, 2);\n";
+  src += "    fs = (uint16_t)(fs + " + U(kPageSlotSize) + ");\n";
+  src += "    sc = (uint16_t)(sc + 1u);\n";
+  src += "    memcpy(page + " + U(kPageFreeEndOffset) + ", &fe, 2);\n";
+  src += "    memcpy(page + " + U(kPageFreeStartOffset) + ", &fs, 2);\n";
+  src += "    memcpy(page + " + U(kPageSlotCountOffset) + ", &sc, 2);\n";
+  src += "    return 0;\n";
+  src += "  }\n";
+  src += "  if (op == 1) {\n";
+  src += "    if (slot >= sc) return 30;\n";
+  src += slot_entry;
+  src += "    uint16_t sl; memcpy(&sl, page + se + 2u, 2);\n";
+  src += "    if (sl == 0u) return 31;\n";
+  src += "    uint16_t z = 0;\n";
+  src += "    memcpy(page + se + 2u, &z, 2);\n";
+  src += "    return 0;\n";
+  src += "  }\n";
+  src += "  if (op == 2) {\n";
+  src += "    if (slot >= sc) return 40;\n";
+  src += slot_entry;
+  src += "    uint16_t so; memcpy(&so, page + se, 2);\n";
+  src += "    uint16_t sl; memcpy(&sl, page + se + 2u, 2);\n";
+  src += "    if (sl != 0u) return 41;\n";
+  src += "    if ((unsigned int)so + len > " + U(kPageSize) + ") return 42;\n";
+  src += "    memcpy(page + so, img, len);\n";
+  src += "    sl = (uint16_t)len;\n";
+  src += "    memcpy(page + se + 2u, &sl, 2);\n";
+  src += "    return 0;\n";
+  src += "  }\n";
+  src += "  if (op == 3) {\n";
+  src += "    if (slot >= sc) return 50;\n";
+  src += slot_entry;
+  src += "    uint16_t so; memcpy(&so, page + se, 2);\n";
+  src += "    uint16_t sl; memcpy(&sl, page + se + 2u, 2);\n";
+  src += "    if (sl == 0u) return 51;\n";
+  src += "    if (((len + 7u) & ~7u) > (((unsigned int)sl + 7u) & ~7u)) "
+         "return 52;\n";
+  src += "    memcpy(page + so, img, len);\n";
+  src += "    sl = (uint16_t)len;\n";
+  src += "    memcpy(page + se + 2u, &sl, 2);\n";
+  src += "    return 0;\n";
+  src += "  }\n";
 }
 
 }  // namespace
@@ -176,16 +273,23 @@ bool NativeJit::CompilerAvailable() {
   return available;
 }
 
-std::string NativeJit::GenerateGclSource(const Schema& logical,
-                                         const Schema& stored,
-                                         const std::vector<int>& spec_cols,
-                                         const std::string& symbol) {
-  std::vector<int> slot_of(static_cast<size_t>(logical.natts()), -1);
-  for (size_t s = 0; s < spec_cols.size(); ++s) {
-    slot_of[static_cast<size_t>(spec_cols[s])] = static_cast<int>(s);
+std::string NativeJit::LowerRelationBee(const std::vector<DeformStep>& deform,
+                                        const std::vector<LogStep>& log,
+                                        const std::string& symbol) {
+  // Every non-section step reads one stored attribute, so the stored width
+  // (and with it the no-NULLs header offset) follows from the steps alone.
+  int stored_natts = 0;
+  bool has_sections = false;
+  for (const DeformStep& s : deform) {
+    if (s.op == DeformOp::kSection) {
+      has_sections = true;
+    } else {
+      ++stored_natts;
+    }
   }
+  const std::string hoff =
+      std::to_string(TupleHeaderSize(stored_natts, /*has_nulls=*/false));
 
-  uint32_t hoff = TupleHeaderSize(stored.natts(), /*has_nulls=*/false);
   std::string src;
   src += "/* GetColumnsToLongs bee routine, generated at schema definition\n"
          "   time. One straight-line statement per attribute; all offsets,\n"
@@ -197,21 +301,20 @@ std::string NativeJit::GenerateGclSource(const Schema& logical,
          "    const Datum* const* sections) {\n";
   // Listing 2's "*(long*)isnull = 0" collapse of per-attribute null stores.
   src += "  memset(isnull, 0, (unsigned)natts);\n";
-  src += "  const char* tp = tuple + " + std::to_string(hoff) + ";\n";
-  if (!spec_cols.empty()) {
+  src += "  const char* tp = tuple + " + hoff + ";\n";
+  if (has_sections) {
     src += "  const Datum* sec = sections[(unsigned char)tuple[3]];\n";
   }
   src += "  unsigned off = 0; (void)off; (void)tp;\n";
-  EmitGclAtts(
-      logical, slot_of, "  ", "return",
+  LowerDeformSteps(
+      deform, "  ", "return",
       [](int i) { return "values[" + std::to_string(i) + "]"; },
       /*null_out=*/nullptr, &src);
   src += "}\n";
 
-  // The GCL-B page-batch variant: the same specialized per-tuple body
-  // wrapped in the page loop, writing column-major. Guards `break` out of
-  // the per-tuple do/while so partial deform still advances to the next
-  // tuple, and null clears are per-attribute stores (no contiguous run).
+  // The GCL-B page-batch variant: the same per-tuple body wrapped in the
+  // page loop, writing column-major. Guards `break` out of the per-tuple
+  // do/while so partial deform still advances to the next tuple.
   src += "\n/* GCL-B: deforms every live tuple of one pinned page in a\n"
          "   single call; the per-call dispatch is paid once per page. */\n";
   src += "void " + symbol +
@@ -220,140 +323,47 @@ std::string NativeJit::GenerateGclSource(const Schema& logical,
          "    const Datum* const* sections) {\n";
   src += "  for (int r = 0; r < ntuples; ++r) {\n";
   src += "    const char* tuple = tuples[r];\n";
-  src += "    const char* tp = tuple + " + std::to_string(hoff) + ";\n";
-  if (!spec_cols.empty()) {
+  src += "    const char* tp = tuple + " + hoff + ";\n";
+  if (has_sections) {
     src += "    const Datum* sec = sections[(unsigned char)tuple[3]];\n";
   }
   src += "    unsigned off = 0; (void)off; (void)tp;\n";
   src += "    do {\n";
-  EmitGclAtts(
-      logical, slot_of, "      ", "break",
+  LowerDeformSteps(
+      deform, "      ", "break",
       [](int i) { return "cols[" + std::to_string(i) + "][r]"; },
       [](int i) { return "nulls[" + std::to_string(i) + "][r]"; }, &src);
   src += "    } while (0);\n";
   src += "  }\n";
   src += "}\n";
+
+  src += "\n/* Log-bee applier: one checked page mutation per WAL record.\n"
+         "   The image checks fold the stored layout in as literals, the\n"
+         "   page bodies fold in the slotted-page header layout; op codes\n"
+         "   0=insert 1=delete 2=restore 3=update-in-place. Returns 0 on\n"
+         "   success, a positive diagnostic code otherwise. */\n";
+  src += "int " + symbol +
+         "_la(char* page, int op, unsigned int slot, const char* img,\n"
+         "    unsigned int len) {\n";
+  src += "  uint16_t sc; memcpy(&sc, page + " + U(kPageSlotCountOffset) +
+         ", 2);\n";
+  bool in_checks = false;
+  for (const LogStep& s : log) {
+    const bool check = s.op != LogStepOp::kApply;
+    if (check && !in_checks) src += "  if (op != 1) {\n";
+    if (!check && in_checks) src += "  }\n";
+    in_checks = check;
+    LowerLogStep(s, &src);
+  }
+  if (in_checks) src += "  }\n";
+  src += "  return 99;\n";
+  src += "}\n";
   return src;
 }
 
-namespace {
-
-const char* KernelClassName(KernelClass cls) {
-  switch (cls) {
-    case KernelClass::kInt:
-      return "int";
-    case KernelClass::kFloat:
-      return "float";
-    case KernelClass::kChar:
-      return "char";
-    case KernelClass::kVarchar:
-      return "varchar";
-  }
-  return "?";
-}
-
-const char* LikeModeName(LikeExpr::Mode mode) {
-  switch (mode) {
-    case LikeExpr::Mode::kExact:
-      return "exact";
-    case LikeExpr::Mode::kPrefix:
-      return "prefix";
-    case LikeExpr::Mode::kSuffix:
-      return "suffix";
-    case LikeExpr::Mode::kContains:
-      return "contains";
-  }
-  return "?";
-}
-
-/// Human-readable monomorphization tag for a clause marker comment.
-std::string EvpClauseTag(const EvpClauseInfo& ci, const EvpClause& ctx) {
-  switch (ci.kind) {
-    case EvpClauseKind::kCmp:
-      return std::string("cmp ") + CmpOpName(ci.op) + " " +
-             KernelClassName(ci.cls);
-    case EvpClauseKind::kLike:
-      return std::string(ci.negated ? "not-like " : "like ") +
-             LikeModeName(ci.like_mode) + " " + KernelClassName(ci.cls);
-    case EvpClauseKind::kInList:
-      return std::string("in ") + KernelClassName(ci.cls) +
-             " n=" + std::to_string(ctx.aux_len);
-  }
-  return "?";
-}
-
-}  // namespace
-
-std::string NativeJit::GenerateEvpSource(const EvpBee& bee,
-                                         const std::string& symbol) {
-  std::string src;
-  src += "/* EVP query bee '" + symbol +
-         "': specification artifact. Query bees select\n"
-         "   ahead-of-time enumerated kernels at query preparation (no\n"
-         "   compiler invocation); this source states the shape those\n"
-         "   kernels must have and is linted, never compiled. */\n";
-  // One comparison core per clause index, shared by the row form and the
-  // batch form — the C statement of the row/batch shape-equivalence the
-  // verifier proves on the kernel pointers.
-  src += "static int " + symbol + "_clause(int c, unsigned long v);\n\n";
-
-  const auto& clauses = bee.clauses();
-  const auto& info = bee.clause_info();
-
-  src += "int " + symbol +
-         "(const unsigned long* values, const char* isnull) {\n";
-  for (size_t i = 0; i < clauses.size(); ++i) {
-    const EvpClause& ctx = *clauses[i].ctx;
-    std::string a = std::to_string(ctx.attno);
-    src += "  /* clause " + std::to_string(i) + ": attr " + a + " (" +
-           EvpClauseTag(info[i], ctx) + ") */\n";
-    src += "  if (isnull[" + a + "]) return 0;\n";
-    src += "  if (!" + symbol + "_clause(" + std::to_string(i) + ", values[" +
-           a + "])) return 0;\n";
-  }
-  src += "  return 1;\n}\n\n";
-
-  src += "int " + symbol +
-         "_b(const unsigned long* const* cols, const char* const* nulls,\n"
-         "    int* sel, int nsel) {\n";
-  for (size_t i = 0; i < clauses.size(); ++i) {
-    const EvpClause& ctx = *clauses[i].ctx;
-    std::string a = std::to_string(ctx.attno);
-    src += "  /* clause " + std::to_string(i) + ": attr " + a + " (" +
-           EvpClauseTag(info[i], ctx) + ") */\n";
-    src += "  {\n";
-    src += "    const unsigned long* col = cols[" + a + "];\n";
-    src += "    const char* nul = nulls[" + a + "];\n";
-    src += "    int out = 0;\n";
-    src += "    for (int i = 0; i < nsel; ++i) {\n";
-    src += "      const int r = sel[i];\n";
-    src += "      if (nul[r]) continue;\n";
-    src += "      if (!" + symbol + "_clause(" + std::to_string(i) +
-           ", col[r])) continue;\n";
-    src += "      sel[out++] = r;\n";
-    src += "    }\n";
-    src += "    nsel = out;\n";
-    src += "    if (nsel == 0) return 0;\n";
-    src += "  }\n";
-  }
-  src += "  return nsel;\n}\n";
-  return src;
-}
-
-Result<NativeGclFn> NativeJit::CompileGcl(const Schema& logical,
-                                          const Schema& stored,
-                                          const std::vector<int>& spec_cols,
-                                          const std::string& work_dir,
-                                          const std::string& symbol) {
-  // NULLs take the program backend's slow path before reaching native code;
-  // the generated routine assumes the no-nulls fixed layout.
-  return CompileSource(GenerateGclSource(logical, stored, spec_cols, symbol),
-                       work_dir, symbol);
-}
-
-Result<NativeGclFn> NativeJit::CompileSource(const std::string& source,
-                                             const std::string& work_dir,
-                                             const std::string& symbol) {
+Result<NativeGclTriple> NativeJit::Compile(const std::string& source,
+                                           const std::string& work_dir,
+                                           const std::string& symbol) {
   if (!CompilerAvailable()) {
     return Status::NotSupported("no C compiler on this host");
   }
@@ -378,199 +388,6 @@ Result<NativeGclFn> NativeJit::CompileSource(const std::string& source,
   if (!st.ok()) {
     // The captured diagnostics ride along in the Status so an async compile
     // failure is debuggable from forge state instead of silently lost.
-    std::string msg = "bee compilation failed (" + st.message() + ")";
-    if (!compiler_stderr.empty()) msg += ":\n" + compiler_stderr;
-    return fail(std::move(msg));
-  }
-  void* handle = dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
-  if (handle == nullptr) {
-    return fail(std::string("dlopen failed: ") + dlerror());
-  }
-  // The handle is cached only once the symbol is known to resolve.
-  void* sym = dlsym(handle, symbol.c_str());
-  if (sym == nullptr) {
-    dlclose(handle);
-    return fail("bee symbol missing: " + symbol);
-  }
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    handles_.push_back(handle);
-  }
-  return reinterpret_cast<NativeGclFn>(sym);
-}
-
-std::string NativeJit::GenerateLogApplierSource(const Schema& stored,
-                                                bool has_tuple_bees,
-                                                const std::string& symbol) {
-  const uint32_t natts = static_cast<uint32_t>(stored.natts());
-  const uint32_t hoff = TupleHeaderSize(stored.natts(), /*has_nulls=*/false);
-  const uint32_t hoffn = TupleHeaderSize(stored.natts(), /*has_nulls=*/true);
-  const LogLenBounds b = ComputeLogLenBounds(stored);
-  auto u = [](uint32_t v) { return std::to_string(v) + "u"; };
-
-  std::string src;
-  src += "\n/* Log-bee applier: one checked page mutation per WAL record.\n"
-         "   The image checks fold the stored layout in as literals, the\n"
-         "   page bodies fold in the slotted-page header layout; op codes\n"
-         "   0=insert 1=delete 2=restore 3=update-in-place. Returns 0 on\n"
-         "   success, a positive diagnostic code otherwise. */\n";
-  src += "int " + symbol +
-         "_la(char* page, int op, unsigned int slot, const char* img,\n"
-         "    unsigned int len) {\n";
-  src += "  uint16_t sc; memcpy(&sc, page + " + u(kPageSlotCountOffset) +
-         ", 2);\n";
-  src += "  if (op != 1) {\n";
-  src += "    if (len < 6u) return 10;\n";
-  src += "    uint16_t natts; memcpy(&natts, img + 0, 2);\n";
-  src += "    if (natts != " + u(natts) + ") return 11;\n";
-  src += "    unsigned char flags = (unsigned char)img[2];\n";
-  src += "    if (((flags & 2u) != 0u) != " +
-         std::string(has_tuple_bees ? "1u" : "0u") + ") return 12;\n";
-  src += "    uint16_t hoff; memcpy(&hoff, img + 4, 2);\n";
-  src += "    if (hoff != ((flags & 1u) ? " + u(hoffn) + " : " + u(hoff) +
-         ")) return 13;\n";
-  src += "    if (len < " + u(b.min_len) + " || len > " + u(b.max_len) +
-         ") return 14;\n";
-  src += "  }\n";
-  src += "  if (op == 0) {\n";
-  src += "    if (slot != sc) return 20;\n";
-  src += "    uint16_t fs; memcpy(&fs, page + " + u(kPageFreeStartOffset) +
-         ", 2);\n";
-  src += "    uint16_t fe; memcpy(&fe, page + " + u(kPageFreeEndOffset) +
-         ", 2);\n";
-  src += "    unsigned int need = (len + 7u) & ~7u;\n";
-  src += "    if ((unsigned int)fe - (unsigned int)fs < need + " +
-         u(kPageSlotSize) + ") return 21;\n";
-  src += "    fe = (uint16_t)(fe - need);\n";
-  src += "    memcpy(page + fe, img, len);\n";
-  src += "    unsigned int se = " + u(kPageHeaderSize) + " + " +
-         u(kPageSlotSize) + " * slot;\n";
-  src += "    memcpy(page + se, &fe, 2);\n";
-  src += "    uint16_t sl = (uint16_t)len;\n";
-  src += "    memcpy(page + se + 2u, &sl, 2);\n";
-  src += "    fs = (uint16_t)(fs + " + u(kPageSlotSize) + ");\n";
-  src += "    sc = (uint16_t)(sc + 1u);\n";
-  src += "    memcpy(page + " + u(kPageFreeEndOffset) + ", &fe, 2);\n";
-  src += "    memcpy(page + " + u(kPageFreeStartOffset) + ", &fs, 2);\n";
-  src += "    memcpy(page + " + u(kPageSlotCountOffset) + ", &sc, 2);\n";
-  src += "    return 0;\n";
-  src += "  }\n";
-  src += "  if (op == 1) {\n";
-  src += "    if (slot >= sc) return 30;\n";
-  src += "    unsigned int se = " + u(kPageHeaderSize) + " + " +
-         u(kPageSlotSize) + " * slot;\n";
-  src += "    uint16_t sl; memcpy(&sl, page + se + 2u, 2);\n";
-  src += "    if (sl == 0u) return 31;\n";
-  src += "    uint16_t z = 0;\n";
-  src += "    memcpy(page + se + 2u, &z, 2);\n";
-  src += "    return 0;\n";
-  src += "  }\n";
-  src += "  if (op == 2) {\n";
-  src += "    if (slot >= sc) return 40;\n";
-  src += "    unsigned int se = " + u(kPageHeaderSize) + " + " +
-         u(kPageSlotSize) + " * slot;\n";
-  src += "    uint16_t so; memcpy(&so, page + se, 2);\n";
-  src += "    uint16_t sl; memcpy(&sl, page + se + 2u, 2);\n";
-  src += "    if (sl != 0u) return 41;\n";
-  src += "    if ((unsigned int)so + len > " + u(kPageSize) +
-         ") return 42;\n";
-  src += "    memcpy(page + so, img, len);\n";
-  src += "    sl = (uint16_t)len;\n";
-  src += "    memcpy(page + se + 2u, &sl, 2);\n";
-  src += "    return 0;\n";
-  src += "  }\n";
-  src += "  if (op == 3) {\n";
-  src += "    if (slot >= sc) return 50;\n";
-  src += "    unsigned int se = " + u(kPageHeaderSize) + " + " +
-         u(kPageSlotSize) + " * slot;\n";
-  src += "    uint16_t so; memcpy(&so, page + se, 2);\n";
-  src += "    uint16_t sl; memcpy(&sl, page + se + 2u, 2);\n";
-  src += "    if (sl == 0u) return 51;\n";
-  src += "    if (((len + 7u) & ~7u) > (((unsigned int)sl + 7u) & ~7u)) "
-         "return 52;\n";
-  src += "    memcpy(page + so, img, len);\n";
-  src += "    sl = (uint16_t)len;\n";
-  src += "    memcpy(page + se + 2u, &sl, 2);\n";
-  src += "    return 0;\n";
-  src += "  }\n";
-  src += "  return 99;\n";
-  src += "}\n";
-  return src;
-}
-
-Result<NativeGclPair> NativeJit::CompileSourcePair(const std::string& source,
-                                                   const std::string& work_dir,
-                                                   const std::string& symbol) {
-  if (!CompilerAvailable()) {
-    return Status::NotSupported("no C compiler on this host");
-  }
-  std::string c_path = work_dir + "/" + symbol + ".c";
-  std::string so_path = work_dir + "/" + symbol + ".so";
-  FILE* f = std::fopen(c_path.c_str(), "w");
-  if (f == nullptr) return Status::IoError("cannot write " + c_path);
-  std::fwrite(source.data(), 1, source.size(), f);
-  std::fclose(f);
-
-  auto fail = [&](std::string msg) {
-    std::remove(c_path.c_str());
-    std::remove(so_path.c_str());
-    return Status::Internal(std::move(msg));
-  };
-  std::string compiler_stderr;
-  Status st = RunCommand(
-      {"cc", "-O2", "-shared", "-fPIC", "-o", so_path, c_path},
-      &compiler_stderr);
-  if (!st.ok()) {
-    std::string msg = "bee compilation failed (" + st.message() + ")";
-    if (!compiler_stderr.empty()) msg += ":\n" + compiler_stderr;
-    return fail(std::move(msg));
-  }
-  void* handle = dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
-  if (handle == nullptr) {
-    return fail(std::string("dlopen failed: ") + dlerror());
-  }
-  // Both entry points must resolve before the handle is cached — a source
-  // missing its batch half never half-publishes.
-  void* scalar = dlsym(handle, symbol.c_str());
-  void* batch = dlsym(handle, (symbol + "_b").c_str());
-  if (scalar == nullptr || batch == nullptr) {
-    dlclose(handle);
-    return fail("bee symbol missing: " + symbol +
-                (scalar == nullptr ? "" : "_b"));
-  }
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    handles_.push_back(handle);
-  }
-  NativeGclPair pair;
-  pair.scalar = reinterpret_cast<NativeGclFn>(scalar);
-  pair.batch = reinterpret_cast<NativeGclBatchFn>(batch);
-  return pair;
-}
-
-Result<NativeGclTriple> NativeJit::CompileSourceTriple(
-    const std::string& source, const std::string& work_dir,
-    const std::string& symbol) {
-  if (!CompilerAvailable()) {
-    return Status::NotSupported("no C compiler on this host");
-  }
-  std::string c_path = work_dir + "/" + symbol + ".c";
-  std::string so_path = work_dir + "/" + symbol + ".so";
-  FILE* f = std::fopen(c_path.c_str(), "w");
-  if (f == nullptr) return Status::IoError("cannot write " + c_path);
-  std::fwrite(source.data(), 1, source.size(), f);
-  std::fclose(f);
-
-  auto fail = [&](std::string msg) {
-    std::remove(c_path.c_str());
-    std::remove(so_path.c_str());
-    return Status::Internal(std::move(msg));
-  };
-  std::string compiler_stderr;
-  Status st = RunCommand(
-      {"cc", "-O2", "-shared", "-fPIC", "-o", so_path, c_path},
-      &compiler_stderr);
-  if (!st.ok()) {
     std::string msg = "bee compilation failed (" + st.message() + ")";
     if (!compiler_stderr.empty()) msg += ":\n" + compiler_stderr;
     return fail(std::move(msg));

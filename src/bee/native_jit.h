@@ -5,9 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "bee/query_bee.h"
-#include "bee/tuple_bee.h"
-#include "catalog/schema.h"
+#include "bee/deform_program.h"
+#include "bee/log_bee.h"
 #include "common/macros.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -21,27 +20,20 @@ using NativeGclFn = void (*)(const char* tuple, int natts,
                              unsigned long* values, char* isnull,
                              const unsigned long* const* sections);
 
-/// Signature of the natively compiled GCL-B routine: deforms `ntuples`
-/// tuples — all live tuples of one pinned page — in a single call, writing
-/// column-major (cols[a][r] / nulls[a][r] receive attribute `a` of
-/// tuples[r]). Generated alongside the scalar routine in the same source
-/// under the symbol `<symbol>_b`.
+/// Signature of the natively compiled GCL-B routine (`<symbol>_b`): deforms
+/// `ntuples` tuples — all live tuples of one pinned page — in a single
+/// call, writing column-major (cols[a][r] / nulls[a][r] receive attribute
+/// `a` of tuples[r]).
 using NativeGclBatchFn = void (*)(const char* const* tuples, int ntuples,
                                   int natts, unsigned long* const* cols,
                                   char* const* nulls,
                                   const unsigned long* const* sections);
 
-/// Both entry points of one compiled GCL shared object.
-struct NativeGclPair {
-  NativeGclFn scalar = nullptr;
-  NativeGclBatchFn batch = nullptr;
-};
-
 /// Signature of the natively compiled log-bee applier (`<symbol>_la`):
 /// applies one physiological WAL mutation to a pinned page after checking
-/// the tuple image against the relation's burned-in layout constants.
-/// Returns 0 on success, a small positive diagnostic code on any check or
-/// page-state failure (the caller maps codes back to Status::Corruption).
+/// the tuple image against the relation's layout constants. Returns 0 on
+/// success, a small positive diagnostic code on any check or page-state
+/// failure (the caller maps codes back to Status::Corruption).
 using NativeLogApplyFn = int (*)(char* page, int op, unsigned int slot,
                                  const char* img, unsigned int len);
 
@@ -54,10 +46,17 @@ struct NativeGclTriple {
 };
 
 /// --- The native bee backend -------------------------------------------------
-/// This backend emits C source equivalent to the paper's Listing 2, invokes
-/// the system C compiler to build a shared object, and dlopens the resulting
-/// bee routine. The paper extracts function bodies from the ELF object into
-/// its bee cache; we keep the .so itself as the cached executable form.
+/// A relation bee has one intermediate representation: the DeformProgram and
+/// LogApplierProgram steps the bee verifier proves against the catalog. The
+/// program tier interprets those steps; this backend lowers the same steps to
+/// C (one template per DeformOp and per LogStepOp, cf. the paper's Listing
+/// 2), invokes the system C compiler to build a shared object, and dlopens
+/// the resulting routines. Every schema constant in the C text is a field of
+/// a verified step, so the native tier needs no verifier of its own; the
+/// deform and log-applier differentials (native vs program vs generic) are
+/// the proof that the templates themselves are right. The paper extracts
+/// function bodies from the ELF object into its bee cache; we keep the .so
+/// itself as the cached executable form.
 ///
 /// The paper invokes gcc inline at CREATE TABLE ("bee creation overhead is
 /// not critical ... we can invoke gcc", Section III-B); under the forge
@@ -73,61 +72,26 @@ class NativeJit {
   /// (thread-safe: forge workers and DDL threads may race the first call).
   static bool CompilerAvailable();
 
-  /// Generates the Listing-2-style C source of the GCL routine for
-  /// `logical`/`stored` with tuple-bee holes for `spec_cols`.
-  /// Exposed separately so tests and the bee_inspector example can show the
-  /// generated specialization.
-  static std::string GenerateGclSource(const Schema& logical,
-                                       const Schema& stored,
-                                       const std::vector<int>& spec_cols,
-                                       const std::string& symbol);
+  /// Lowers one relation bee to a single C translation unit: the scalar GCL
+  /// routine `symbol` and its GCL-B page-batch sibling `symbol`_b from the
+  /// deform program's no-NULLs fast path `deform` (DeformProgram::steps()),
+  /// and the log applier `symbol`_la from `log` (LogApplierProgram::steps()).
+  /// The routines assume NOT-NULL tuple images; NULL-carrying tuples and
+  /// pages stay on the program tier. Callers lower only programs that have
+  /// been through the verifier (or deliberately skipped it, VerifyMode::kOff).
+  static std::string LowerRelationBee(const std::vector<DeformStep>& deform,
+                                      const std::vector<LogStep>& log,
+                                      const std::string& symbol);
 
-  /// Generates the C form of an EVP query bee: the row-form routine and its
-  /// `<symbol>_b` clause-major batch sibling, both dispatching every clause
-  /// through one shared `<symbol>_clause` comparison core. Query bees never
-  /// invoke a compiler at query-preparation time (Section III-B) — this
-  /// source is a specification artifact for LintNativeEvpSource, stating the
-  /// shape the ahead-of-time enumerated kernels must have; it is linted at
-  /// install time but never compiled.
-  static std::string GenerateEvpSource(const EvpBee& bee,
-                                       const std::string& symbol);
-
-  /// Compiles and loads the GCL routine. `work_dir` receives the .c and .so
-  /// files (the on-disk bee cache). Returns the entry point.
-  Result<NativeGclFn> CompileGcl(const Schema& logical, const Schema& stored,
-                                 const std::vector<int>& spec_cols,
-                                 const std::string& work_dir,
-                                 const std::string& symbol);
-
-  /// Lower-level entry point used by the forge, which generates (and
-  /// verifies) the source itself before scheduling the compile: writes
-  /// `source` to `work_dir`, compiles it to a shared object, and resolves
-  /// `symbol`. On compiler failure the Status message carries the compiler's
-  /// captured stderr.
-  Result<NativeGclFn> CompileSource(const std::string& source,
-                                    const std::string& work_dir,
-                                    const std::string& symbol);
-
-  /// Like CompileSource but resolves both the scalar `symbol` and the
-  /// page-batch `symbol`_b entry points (GenerateGclSource emits the pair
-  /// into one translation unit; they ship, verify and publish together).
-  Result<NativeGclPair> CompileSourcePair(const std::string& source,
-                                          const std::string& work_dir,
-                                          const std::string& symbol);
-
-  /// Generates the C form of the relation's native log-bee applier
-  /// (`symbol`_la): one routine with the stored layout's natts/flags/hoff
-  /// and image-length bounds burned in as literals, plus the slotted-page
-  /// mutation bodies working through the exported page layout constants.
-  static std::string GenerateLogApplierSource(const Schema& stored,
-                                              bool has_tuple_bees,
-                                              const std::string& symbol);
-
-  /// Like CompileSourcePair but additionally resolves `symbol`_la; used by
-  /// the forge once the source carries the GCL pair plus the log applier.
-  Result<NativeGclTriple> CompileSourceTriple(const std::string& source,
-                                              const std::string& work_dir,
-                                              const std::string& symbol);
+  /// Compiles and loads a lowered relation bee: writes `source` to
+  /// `work_dir`/`symbol`.c (the on-disk bee cache), runs
+  /// `cc -O2 -shared -fPIC`, dlopens the result, and resolves `symbol`,
+  /// `symbol`_b and `symbol`_la together, so a source missing any of them
+  /// never half-publishes. On any failure the .c/.so are removed and the
+  /// Status message carries the compiler's captured stderr.
+  Result<NativeGclTriple> Compile(const std::string& source,
+                                  const std::string& work_dir,
+                                  const std::string& symbol);
 
  private:
   std::mutex mutex_;            // guards handles_ (forge workers race here)

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "bee/native_jit.h"
 #include "bee/verifier.h"
 #include "common/counters.h"
 #include "common/hash.h"
@@ -567,12 +566,6 @@ std::unique_ptr<EvpBee> TrySpecializePredicateChecked(
       TrySpecializePredicate(expr, arena, input_nullable);
   if (bee == nullptr || mode == VerifyMode::kOff) return bee;
   Status st = BeeVerifier::VerifyEvp(*bee, expr, input_meta);
-  if (st.ok()) {
-    // Query bees never invoke a compiler at query-preparation time, so the
-    // emitted C is a specification artifact: linted here, never compiled.
-    st = BeeVerifier::LintNativeEvpSource(
-        NativeJit::GenerateEvpSource(*bee, "evp_bee"), *bee);
-  }
   if (!st.ok() && BeeVerifier::ReportReject("evp", "query:evp", st, mode)) {
     return nullptr;
   }

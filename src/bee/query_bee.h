@@ -159,7 +159,7 @@ std::unique_ptr<EvpBee> TrySpecializePredicate(const Expr& expr,
 
 /// Install-site entry point: builds the bee, then runs it through
 /// BeeVerifier::VerifyEvp (against `expr` and, when non-null, the operator's
-/// `input_meta`) and the native-source lint under `mode`. A rejection is
+/// `input_meta`) under `mode`. A rejection is
 /// routed through BeeVerifier::ReportReject (telemetry counter + trace
 /// event); under kEnforce the bee is discarded and nullptr returned so the
 /// caller falls back to the generic interpreter.

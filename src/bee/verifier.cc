@@ -1,7 +1,6 @@
 #include "bee/verifier.h"
 
 #include <cstdint>
-#include <cstring>
 
 #include "common/align.h"
 #include "common/telemetry.h"
@@ -380,178 +379,6 @@ Status BeeVerifier::VerifyForm(const FormProgram& program,
                          spec_cols);
 }
 
-Status BeeVerifier::LintNativeGclSource(const std::string& source,
-                                        const Schema& logical,
-                                        const Schema& stored,
-                                        const std::vector<int>& spec_cols) {
-  std::vector<int> to_slot;
-  std::vector<int> to_stored;
-  MICROSPEC_RETURN_NOT_OK(
-      BuildMaps(logical, stored, spec_cols, &to_slot, &to_stored));
-
-  auto missing = [](const std::string& what, const std::string& token) {
-    return Status::InvalidArgument("native bee lint: missing or out-of-order " +
-                                   what + " (`" + token + "`)");
-  };
-
-  // Preamble: the isnull collapse, the header-offset constant, and (with
-  // tuple bees) the data-section lookup keyed by the header's beeID byte.
-  size_t pos = source.find("memset(isnull, 0");
-  if (pos == std::string::npos) {
-    return missing("isnull collapse", "memset(isnull, 0");
-  }
-  const std::string hoff_token =
-      "tuple + " +
-      std::to_string(TupleHeaderSize(stored.natts(), /*has_nulls=*/false));
-  pos = source.find(hoff_token, pos);
-  if (pos == std::string::npos) {
-    return missing("header offset constant", hoff_token);
-  }
-  if (!spec_cols.empty()) {
-    const std::string sec_token = "sections[(unsigned char)tuple[3]]";
-    pos = source.find(sec_token, pos);
-    if (pos == std::string::npos) {
-      return missing("data-section lookup", sec_token);
-    }
-  }
-
-  // Per attribute: find the natts early-outs in ascending order, then check
-  // the statement segment between consecutive early-outs against the layout
-  // model (the same cursor state machine the program verifier replays).
-  std::vector<size_t> guard_pos(static_cast<size_t>(logical.natts()) + 1,
-                                source.size());
-  size_t cursor = pos;
-  for (int i = 0; i < logical.natts(); ++i) {
-    const std::string guard =
-        "if (natts < " + std::to_string(i + 1) + ") return;";
-    size_t found = source.find(guard, cursor);
-    if (found == std::string::npos) {
-      return missing("partial-deform early-out for attribute " +
-                         std::to_string(i),
-                     guard);
-    }
-    guard_pos[static_cast<size_t>(i)] = found;
-    cursor = found + guard.size();
-  }
-
-  bool fixed_mode = true;
-  uint32_t off = 0;
-  for (int i = 0; i < logical.natts(); ++i) {
-    const size_t seg_begin = guard_pos[static_cast<size_t>(i)];
-    const size_t seg_end = guard_pos[static_cast<size_t>(i) + 1];
-    const std::string seg = source.substr(seg_begin, seg_end - seg_begin);
-    const std::string attr = "attribute " + std::to_string(i);
-    const std::string out_token = "values[" + std::to_string(i) + "]";
-    if (seg.find(out_token) == std::string::npos) {
-      return missing("store to " + attr, out_token);
-    }
-    const int slot = to_slot[static_cast<size_t>(i)];
-    if (slot >= 0) {
-      const std::string sec = "sec[" + std::to_string(slot) + "]";
-      if (seg.find(sec) == std::string::npos) {
-        return missing("section slot for " + attr, sec);
-      }
-      continue;
-    }
-    const Column& c = logical.column(i);
-    const uint32_t align = static_cast<uint32_t>(c.attalign());
-    if (fixed_mode) {
-      off = AlignUp32(off, align);
-      // The offset constant must be followed by a delimiter so e.g. an
-      // expected "tp + 8" does not accept a generated "tp + 80".
-      const std::string at = "tp + " + std::to_string(off);
-      size_t found = seg.find(at);
-      while (found != std::string::npos &&
-             found + at.size() < seg.size() &&
-             seg[found + at.size()] != ',' && seg[found + at.size()] != ')') {
-        found = seg.find(at, found + 1);
-      }
-      if (found == std::string::npos) {
-        return missing("fixed offset constant for " + attr, at);
-      }
-      if (c.attlen() == kVariableLength) {
-        fixed_mode = false;
-      } else {
-        off += static_cast<uint32_t>(c.attlen());
-      }
-    } else {
-      if (align > 1) {
-        const std::string mask = "& ~" + std::to_string(align - 1) + "u";
-        if (seg.find(mask) == std::string::npos) {
-          return missing("dynamic alignment mask for " + attr, mask);
-        }
-      }
-      if (seg.find("off") == std::string::npos) {
-        return missing("dynamic cursor use for " + attr, "off");
-      }
-    }
-  }
-
-  // --- GCL-B half: the page-batch routine generated into the same
-  // translation unit. Checked structurally against the same layout model:
-  // the page loop must be bounded strictly by the caller's live-tuple count
-  // (`r < ntuples` — the batch's slot count for the page), every write must
-  // stay inside the loop variable's range (stores index `[i][r]`, never a
-  // constant row), guards must `break` (a `return` would silently skip the
-  // remaining tuples of the page), and every attribute needs its
-  // per-attribute null clear (the batch routine has no contiguous isnull
-  // run to memset).
-  size_t bpos = source.find("_b(const char* const* tuples");
-  if (bpos == std::string::npos) {
-    return missing("GCL-B batch routine", "_b(const char* const* tuples");
-  }
-  const std::string loop_token = "for (int r = 0; r < ntuples; ++r)";
-  if (source.find(loop_token, bpos) == std::string::npos) {
-    return missing("page loop bound (live-tuple count)", loop_token);
-  }
-  if (source.find("tuples[r]", bpos) == std::string::npos) {
-    return missing("per-iteration tuple load", "tuples[r]");
-  }
-  const std::string bhoff_token =
-      "tuple + " +
-      std::to_string(TupleHeaderSize(stored.natts(), /*has_nulls=*/false));
-  if (source.find(bhoff_token, bpos) == std::string::npos) {
-    return missing("batch header offset constant", bhoff_token);
-  }
-  std::vector<size_t> bguard(static_cast<size_t>(logical.natts()) + 1,
-                             source.size());
-  size_t bcursor = bpos;
-  for (int i = 0; i < logical.natts(); ++i) {
-    const std::string guard =
-        "if (natts < " + std::to_string(i + 1) + ") break;";
-    size_t found = source.find(guard, bcursor);
-    if (found == std::string::npos) {
-      return missing("batch partial-deform early-out for attribute " +
-                         std::to_string(i) + " (must break, not return)",
-                     guard);
-    }
-    bguard[static_cast<size_t>(i)] = found;
-    bcursor = found + guard.size();
-  }
-  for (int i = 0; i < logical.natts(); ++i) {
-    const size_t seg_begin = bguard[static_cast<size_t>(i)];
-    const size_t seg_end = bguard[static_cast<size_t>(i) + 1];
-    const std::string seg = source.substr(seg_begin, seg_end - seg_begin);
-    const std::string attr = "batch attribute " + std::to_string(i);
-    const std::string out_token = "cols[" + std::to_string(i) + "][r]";
-    if (seg.find(out_token) == std::string::npos) {
-      return missing("column-major store to " + attr, out_token);
-    }
-    const std::string null_token = "nulls[" + std::to_string(i) + "][r] = 0";
-    if (seg.find(null_token) == std::string::npos) {
-      return missing("per-attribute null clear for " + attr, null_token);
-    }
-    const int slot = to_slot[static_cast<size_t>(i)];
-    if (slot >= 0) {
-      const std::string sec = "sec[" + std::to_string(slot) + "]";
-      if (seg.find(sec) == std::string::npos) {
-        return missing("section slot for " + attr, sec);
-      }
-    }
-  }
-  return Status::OK();
-}
-
 /// --- Log-bee verification ---------------------------------------------------
 
 namespace {
@@ -686,106 +513,6 @@ Status BeeVerifier::VerifyLogApplier(const std::vector<LogStep>& steps,
       return LogReject(steps.size(),
                        std::string("missing step family ") + kFamily[f]);
     }
-  }
-  return Status::OK();
-}
-
-Status BeeVerifier::LintNativeLogApplierSource(
-    const std::string& source, const Schema& logical, const Schema& stored,
-    const std::vector<int>& spec_cols) {
-  if (stored.natts() + static_cast<int>(spec_cols.size()) != logical.natts()) {
-    return Status::InvalidArgument(
-        "native log-bee lint: stored/logical width mismatch");
-  }
-  const LogLayout l = DeriveLogLayout(stored, spec_cols);
-  auto u = [](uint32_t v) { return std::to_string(v) + "u"; };
-
-  // Forward-cursor fragment search, like LintNativeGclSource: every fragment
-  // must appear after the previous one, with the layout literals and the
-  // slotted-page header offsets matching the verifier's own derivation.
-  size_t pos = 0;
-  auto expect = [&](const std::string& what,
-                    const std::string& token) -> Status {
-    size_t found = source.find(token, pos);
-    if (found == std::string::npos) {
-      return Status::InvalidArgument(
-          "native log-bee lint: missing or out-of-order " + what + " (`" +
-          token + "`)");
-    }
-    pos = found + token.size();
-    return Status::OK();
-  };
-
-  const std::string sc_load =
-      "memcpy(&sc, page + " + u(kPageSlotCountOffset) + ", 2)";
-  const std::string se_expr =
-      "unsigned int se = " + u(kPageHeaderSize) + " + " + u(kPageSlotSize) +
-      " * slot;";
-  struct Frag {
-    const char* what;
-    std::string token;
-  };
-  const Frag frags[] = {
-      {"applier entry point",
-       "_la(char* page, int op, unsigned int slot, const char* img,"},
-      {"slot-count load", sc_load},
-      {"image-check gate (delete carries no image)", "if (op != 1) {"},
-      {"header-length floor", "if (len < 6u) return 10;"},
-      {"image natts load", "memcpy(&natts, img + 0, 2)"},
-      {"natts literal", "if (natts != " + u(l.natts) + ") return 11;"},
-      {"flags load", "flags = (unsigned char)img[2]"},
-      {"beeID-flag expectation",
-       "if (((flags & 2u) != 0u) != " + u(l.bee_flag) + ") return 12;"},
-      {"image hoff load", "memcpy(&hoff, img + 4, 2)"},
-      {"header-offset literals", "if (hoff != ((flags & 1u) ? " + u(l.hoffn) +
-                                     " : " + u(l.hoff) + ")) return 13;"},
-      {"length bounds", "if (len < " + u(l.min_len) + " || len > " +
-                            u(l.max_len) + ") return 14;"},
-      {"insert body", "if (op == 0) {"},
-      {"fresh-slot insert guard", "if (slot != sc) return 20;"},
-      {"free-start load",
-       "memcpy(&fs, page + " + u(kPageFreeStartOffset) + ", 2)"},
-      {"free-end load",
-       "memcpy(&fe, page + " + u(kPageFreeEndOffset) + ", 2)"},
-      {"insert alignment mask", "unsigned int need = (len + 7u) & ~7u;"},
-      {"free-space check", "if ((unsigned int)fe - (unsigned int)fs < need + " +
-                               u(kPageSlotSize) + ") return 21;"},
-      {"free-end decrement", "fe = (uint16_t)(fe - need);"},
-      {"insert image copy", "memcpy(page + fe, img, len);"},
-      {"insert slot-entry address", se_expr},
-      {"slot offset writeback", "memcpy(page + se, &fe, 2);"},
-      {"slot length writeback", "memcpy(page + se + 2u, &sl, 2);"},
-      // The free-end writeback is the fragment whose absence the kill-and-
-      // replay differential caught: without it every redone insert lands at
-      // the same offset and all slots alias the last image.
-      {"free-end writeback",
-       "memcpy(page + " + u(kPageFreeEndOffset) + ", &fe, 2);"},
-      {"free-start writeback",
-       "memcpy(page + " + u(kPageFreeStartOffset) + ", &fs, 2);"},
-      {"slot-count writeback",
-       "memcpy(page + " + u(kPageSlotCountOffset) + ", &sc, 2);"},
-      {"delete body", "if (op == 1) {"},
-      {"delete range guard", "if (slot >= sc) return 30;"},
-      {"delete slot-entry address", se_expr},
-      {"delete dead-slot guard", "if (sl == 0u) return 31;"},
-      {"restore body", "if (op == 2) {"},
-      {"restore range guard", "if (slot >= sc) return 40;"},
-      {"restore slot-entry address", se_expr},
-      {"restore live-slot guard", "if (sl != 0u) return 41;"},
-      {"restore page bound",
-       "if ((unsigned int)so + len > " + u(kPageSize) + ") return 42;"},
-      {"restore image copy", "memcpy(page + so, img, len);"},
-      {"update body", "if (op == 3) {"},
-      {"update range guard", "if (slot >= sc) return 50;"},
-      {"update slot-entry address", se_expr},
-      {"update dead-slot guard", "if (sl == 0u) return 51;"},
-      {"update fit check",
-       "if (((len + 7u) & ~7u) > (((unsigned int)sl + 7u) & ~7u)) return 52;"},
-      {"update image copy", "memcpy(page + so, img, len);"},
-      {"unknown-op terminal", "return 99;"},
-  };
-  for (const Frag& f : frags) {
-    MICROSPEC_RETURN_NOT_OK(expect(f.what, f.token));
   }
   return Status::OK();
 }
@@ -1172,112 +899,6 @@ Status BeeVerifier::VerifyEvj(const EvjBee& bee,
       return EvjReject(i, "equality kernel is not the registry kernel for "
                           "the key's type class");
     }
-  }
-  return Status::OK();
-}
-
-Status BeeVerifier::LintNativeEvpSource(const std::string& source,
-                                        const EvpBee& bee) {
-  auto fail = [](const std::string& what) {
-    return Status::InvalidArgument("bee lint: evp: " + what);
-  };
-  auto cfail = [](size_t i, const std::string& what) {
-    return Status::InvalidArgument("bee lint: evp clause " +
-                                   std::to_string(i) + ": " + what);
-  };
-
-  size_t batch_at = source.find("_b(const unsigned long* const* cols");
-  if (batch_at == std::string::npos) {
-    return fail("batch routine missing");
-  }
-  const std::string row_half = source.substr(0, batch_at);
-  const std::string batch_half = source.substr(batch_at);
-  if (row_half.find("(const unsigned long* values, const char* isnull)") ==
-      std::string::npos) {
-    return fail("row routine signature missing");
-  }
-
-  const auto& clauses = bee.clauses();
-
-  // Row half: every clause in order, each guarded by its column's null test
-  // and dispatching through the shared per-clause comparison core.
-  size_t pos = 0;
-  for (size_t i = 0; i < clauses.size(); ++i) {
-    std::string a = std::to_string(clauses[i].ctx->attno);
-    std::string marker = "/* clause " + std::to_string(i) + ": attr " + a +
-                         " ";
-    size_t at = row_half.find(marker, pos);
-    if (at == std::string::npos) {
-      return cfail(i, "row-form clause marker missing or out of order");
-    }
-    size_t next = row_half.find("/* clause ", at + marker.size());
-    std::string seg =
-        row_half.substr(at, (next == std::string::npos ? row_half.size()
-                                                       : next) - at);
-    if (seg.find("if (isnull[" + a + "]) return 0;") == std::string::npos) {
-      return cfail(i, "row form drops the per-clause null guard");
-    }
-    if (seg.find("_clause(" + std::to_string(i) + ", values[" + a + "])") ==
-        std::string::npos) {
-      return cfail(i, "row form does not dispatch the shared comparison "
-                      "core on its column");
-    }
-    pos = at + marker.size();
-  }
-  if (row_half.find("return 1;", pos) == std::string::npos) {
-    return fail("row form does not return the conjunction verdict");
-  }
-
-  // Batch half: clause-major blocks in order, each streaming its column
-  // through a compaction loop bounded by the live count.
-  pos = 0;
-  for (size_t i = 0; i < clauses.size(); ++i) {
-    std::string a = std::to_string(clauses[i].ctx->attno);
-    std::string marker = "/* clause " + std::to_string(i) + ": attr " + a +
-                         " ";
-    size_t at = batch_half.find(marker, pos);
-    if (at == std::string::npos) {
-      return cfail(i, "batch-form clause marker missing or out of order");
-    }
-    size_t next = batch_half.find("/* clause ", at + marker.size());
-    std::string seg =
-        batch_half.substr(at, (next == std::string::npos ? batch_half.size()
-                                                         : next) - at);
-    if (seg.find("cols[" + a + "]") == std::string::npos) {
-      return cfail(i, "batch form does not load through the clause's "
-                      "column array");
-    }
-    if (seg.find("nulls[" + a + "]") == std::string::npos) {
-      return cfail(i, "batch form does not load the clause's null array");
-    }
-    if (seg.find("for (int i = 0; i < nsel; ++i)") == std::string::npos) {
-      return cfail(i, "compaction loop is not bounded by the live count");
-    }
-    if (seg.find("const int r = sel[i];") == std::string::npos) {
-      return cfail(i, "compaction loop does not read through the selection "
-                      "vector");
-    }
-    if (seg.find("if (nul[r]) continue;") == std::string::npos) {
-      return cfail(i, "batch form drops the per-clause null guard");
-    }
-    if (seg.find("_clause(" + std::to_string(i) + ", col[r])") ==
-        std::string::npos) {
-      return cfail(i, "batch form does not dispatch the same comparison "
-                      "core as the row form");
-    }
-    if (seg.find("sel[out++] = r;") == std::string::npos) {
-      return cfail(i, "selection vector is not compacted in place");
-    }
-    if (seg.find("nsel = out;") == std::string::npos) {
-      return cfail(i, "live count is not updated after compaction");
-    }
-    if (seg.find("if (nsel == 0) return 0;") == std::string::npos) {
-      return cfail(i, "empty-selection early-out missing");
-    }
-    pos = at + marker.size();
-  }
-  if (batch_half.find("return nsel;", pos) == std::string::npos) {
-    return fail("batch form does not return the live count");
   }
   return Status::OK();
 }

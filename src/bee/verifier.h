@@ -48,9 +48,10 @@ const char* VerifyModeName(VerifyMode mode);
 ///     order (the partial-deform early-out depends on it), or
 ///   - let the fast path and the null_steps variant disagree on shape.
 ///
-/// The native backend is validated from the same model: LintNativeGclSource
-/// structurally checks the generated C against the layout the verifier
-/// computed, so both backends answer to one source of truth.
+/// The native backend needs no verifier of its own: NativeJit lowers the
+/// very steps checked here to C (one template per op), so both tiers answer
+/// to one verified IR, and the deform and log-applier differentials prove
+/// the templates against the program tier and the generic paths.
 class BeeVerifier {
  public:
   /// Verifies a compiled GCL program. On rejection the Status message
@@ -78,20 +79,6 @@ class BeeVerifier {
                                 const Schema& logical, const Schema& stored,
                                 const std::vector<int>& spec_cols);
 
-  /// Structural lint of NativeJit::GenerateGclSource output: the attribute
-  /// statements must appear in order, guarded by the per-attribute natts
-  /// early-outs, with the header offset, fixed-offset constants, dynamic
-  /// alignment masks, and section slots all matching the verifier's layout
-  /// model. The GCL-B page-batch routine emitted into the same source is
-  /// linted too: its page loop must be bounded strictly by the caller's
-  /// live-tuple count, its guards must `break` out of the per-tuple body
-  /// (not return from the loop), every store must be column-major `[i][r]`,
-  /// and each attribute needs a per-attribute null clear.
-  static Status LintNativeGclSource(const std::string& source,
-                                    const Schema& logical,
-                                    const Schema& stored,
-                                    const std::vector<int>& spec_cols);
-
   /// --- Log-bee verification -------------------------------------------------
   /// Verifies a compiled log-applier program against the relation's stored
   /// layout. A log bee with a wrong constant silently re-installs corrupt
@@ -110,16 +97,6 @@ class BeeVerifier {
   static Status VerifyLogApplier(const std::vector<LogStep>& steps,
                                  const Schema& logical, const Schema& stored,
                                  const std::vector<int>& spec_cols);
-
-  /// Structural lint of NativeJit::GenerateLogApplierSource output against
-  /// the same independently derived constants: the image-check literals,
-  /// the slotted-page header offsets, the fresh-slot insert guard, the
-  /// free-space arithmetic with its 8-byte alignment masks, and the
-  /// page-bound check of the restore body, all found in emission order.
-  static Status LintNativeLogApplierSource(const std::string& source,
-                                           const Schema& logical,
-                                           const Schema& stored,
-                                           const std::vector<int>& spec_cols);
 
   /// --- Query-bee verification -----------------------------------------------
   /// Abstract-interprets a compiled EVP clause program against the expression
@@ -153,14 +130,6 @@ class BeeVerifier {
                           const std::vector<int>& inner_cols,
                           const std::vector<ColMeta>& key_meta,
                           int outer_width, int inner_width);
-
-  /// Structural lint of NativeJit::GenerateEvpSource output against the
-  /// (already-verified) bee: per-clause null guards in both halves, shared
-  /// comparison-core calls binding the row form to the batch form, batch
-  /// loads through the clause's column, and a selection-vector compaction
-  /// loop bounded by the live count with in-place writeback.
-  static Status LintNativeEvpSource(const std::string& source,
-                                    const EvpBee& bee);
 
   /// Routes a verifier rejection through telemetry: bumps the
   /// `microspec_bee_verify_rejects_total` counter and records a

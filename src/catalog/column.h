@@ -1,6 +1,7 @@
 #ifndef MICROSPEC_CATALOG_COLUMN_H_
 #define MICROSPEC_CATALOG_COLUMN_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -50,10 +51,17 @@ class Column {
   /// Cached byte offset of this attribute within a tuple, or -1 when the
   /// offset is not constant (attribute preceded by a variable-length or
   /// nullable attribute). Maintained lazily by the generic deform loop, just
-  /// like PG's attcacheoff. Benign write race under concurrency: all writers
-  /// store the same value (as in PostgreSQL).
-  int32_t attcacheoff() const { return attcacheoff_; }
-  void set_attcacheoff(int32_t off) const { attcacheoff_ = off; }
+  /// like PG's attcacheoff. Concurrent scans race to fill it; every writer
+  /// stores the same value, and the relaxed atomic accesses make that race
+  /// defined (a plain int32_t here would be a C++ data race).
+  int32_t attcacheoff() const {
+    return std::atomic_ref<int32_t>(attcacheoff_).load(
+        std::memory_order_relaxed);
+  }
+  void set_attcacheoff(int32_t off) const {
+    std::atomic_ref<int32_t>(attcacheoff_).store(off,
+                                                 std::memory_order_relaxed);
+  }
 
   /// DBA annotation marking a low-cardinality attribute eligible for
   /// tuple-bee value specialization (Section IV-A "Annotations").

@@ -32,9 +32,8 @@ inline uint16_t TupleIdSlot(TupleId tid) {
 }
 
 /// Byte layout of the page header. Exported as constants (rather than only
-/// a private struct) because the native log-bee applier is generated C that
-/// burns these offsets in as literals, and the verifier's native-source
-/// lint re-derives them independently to cross-check the generator.
+/// a private struct) because the native log-bee applier is lowered to C that
+/// burns these offsets in as literals.
 ///
 ///   [0,8)    lsn       end-LSN of the last WAL record applied (WAL rule)
 ///   [8,12)   checksum  CRC-32C over the page with this field zeroed

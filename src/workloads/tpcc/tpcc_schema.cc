@@ -146,51 +146,50 @@ Schema StockSchema() {
 }
 
 Status CreateTpccTables(Database* db) {
+  // Indexes go through Database::CreateIndex, which logs kCreateIndex: on a
+  // WAL database restart recovery then rebuilds them from the heap.
+  auto index = [db](TableInfo* table, const char* name,
+                    std::vector<int> key_columns) {
+    return db->CreateIndex(table, name, std::move(key_columns)).status();
+  };
   MICROSPEC_ASSIGN_OR_RETURN(TableInfo * warehouse,
                              db->CreateTable("warehouse", WarehouseSchema()));
-  MICROSPEC_RETURN_NOT_OK(
-      warehouse->CreateIndex("warehouse_pk", {kWId}).status());
+  MICROSPEC_RETURN_NOT_OK(index(warehouse, "warehouse_pk", {kWId}));
 
   MICROSPEC_ASSIGN_OR_RETURN(TableInfo * district,
                              db->CreateTable("district", DistrictSchema()));
-  MICROSPEC_RETURN_NOT_OK(
-      district->CreateIndex("district_pk", {kDWId, kDId}).status());
+  MICROSPEC_RETURN_NOT_OK(index(district, "district_pk", {kDWId, kDId}));
 
   MICROSPEC_ASSIGN_OR_RETURN(TableInfo * customer,
                              db->CreateTable("customer", CustomerSchema()));
   MICROSPEC_RETURN_NOT_OK(
-      customer->CreateIndex("customer_pk", {kCWId, kCDId, kCId}).status());
+      index(customer, "customer_pk", {kCWId, kCDId, kCId}));
 
   MICROSPEC_RETURN_NOT_OK(db->CreateTable("history", HistorySchema()).status());
 
   MICROSPEC_ASSIGN_OR_RETURN(TableInfo * neworder,
                              db->CreateTable("neworder", NewOrderSchema()));
   MICROSPEC_RETURN_NOT_OK(
-      neworder->CreateIndex("neworder_pk", {kNoWId, kNoDId, kNoOId}).status());
+      index(neworder, "neworder_pk", {kNoWId, kNoDId, kNoOId}));
 
   MICROSPEC_ASSIGN_OR_RETURN(TableInfo * orders,
                              db->CreateTable("torders", OrderSchema()));
+  MICROSPEC_RETURN_NOT_OK(index(orders, "orders_pk", {kOWId, kODId, kOId}));
   MICROSPEC_RETURN_NOT_OK(
-      orders->CreateIndex("orders_pk", {kOWId, kODId, kOId}).status());
-  MICROSPEC_RETURN_NOT_OK(
-      orders->CreateIndex("orders_by_cust", {kOWId, kODId, kOCId, kOId})
-          .status());
+      index(orders, "orders_by_cust", {kOWId, kODId, kOCId, kOId}));
 
   MICROSPEC_ASSIGN_OR_RETURN(TableInfo * orderline,
                              db->CreateTable("orderline", OrderLineSchema()));
-  MICROSPEC_RETURN_NOT_OK(
-      orderline
-          ->CreateIndex("orderline_pk", {kOlWId, kOlDId, kOlOId, kOlNumber})
-          .status());
+  MICROSPEC_RETURN_NOT_OK(index(orderline, "orderline_pk",
+                                {kOlWId, kOlDId, kOlOId, kOlNumber}));
 
   MICROSPEC_ASSIGN_OR_RETURN(TableInfo * item,
                              db->CreateTable("item", ItemSchema()));
-  MICROSPEC_RETURN_NOT_OK(item->CreateIndex("item_pk", {kIId}).status());
+  MICROSPEC_RETURN_NOT_OK(index(item, "item_pk", {kIId}));
 
   MICROSPEC_ASSIGN_OR_RETURN(TableInfo * stock,
                              db->CreateTable("stock", StockSchema()));
-  MICROSPEC_RETURN_NOT_OK(
-      stock->CreateIndex("stock_pk", {kSWId, kSIId}).status());
+  MICROSPEC_RETURN_NOT_OK(index(stock, "stock_pk", {kSWId, kSIId}));
   return Status::OK();
 }
 

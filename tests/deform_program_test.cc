@@ -249,6 +249,17 @@ TEST_P(ProgramRoundTripTest, SclThenGclIsIdentity) {
 INSTANTIATE_TEST_SUITE_P(RandomSchemas, ProgramRoundTripTest,
                          ::testing::Range(0, 20));
 
+/// Lowers the relation bee of `logical`/`stored` the way the bee module
+/// does: deform and log-applier programs into one translation unit.
+std::string LowerFor(const Schema& logical, const Schema& stored,
+                     const std::vector<int>& spec_cols,
+                     const std::string& symbol) {
+  DeformProgram gcl = DeformProgram::Compile(logical, stored, spec_cols);
+  bee::LogApplierProgram log =
+      bee::LogApplierProgram::Compile(stored, !spec_cols.empty());
+  return bee::NativeJit::LowerRelationBee(gcl.steps(), log.steps(), symbol);
+}
+
 /// Native JIT equivalence: the compiled routine agrees with the program
 /// backend on random no-null rows.
 class NativeJitTest : public ::testing::TestWithParam<int> {};
@@ -262,8 +273,9 @@ TEST_P(NativeJitTest, CompiledGclMatchesProgramBackend) {
   Schema schema = RandomSchema(&rng, natts, /*allow_nullable=*/false);
   testing::ScratchDir dir;
   bee::NativeJit jit;
-  auto fn = jit.CompileGcl(schema, schema, {}, dir.path(),
-                           "bee_test_" + std::to_string(GetParam()));
+  const std::string symbol = "bee_test_" + std::to_string(GetParam());
+  auto fn = jit.Compile(LowerFor(schema, schema, {}, symbol), dir.path(),
+                        symbol);
   ASSERT_TRUE(fn.ok()) << fn.status().ToString();
 
   DeformProgram gcl = DeformProgram::Compile(schema, schema, {});
@@ -282,7 +294,7 @@ TEST_P(NativeJitTest, CompiledGclMatchesProgramBackend) {
 
     Datum native_out[12];
     char native_null[12];
-    fn.value()(buf.data(), natts, native_out, native_null, nullptr);
+    fn.value().scalar(buf.data(), natts, native_out, native_null, nullptr);
     EXPECT_EQ(RowToString(schema, prog_out, prog_null),
               RowToString(schema, native_out,
                           reinterpret_cast<bool*>(native_null)))
@@ -297,8 +309,7 @@ TEST(NativeJit, GeneratedSourceHasListing2Shape) {
   Schema s({Column("a", TypeId::kInt32, true),
             Column("flag", TypeId::kChar, true, 1),
             Column("v", TypeId::kVarchar, true)});
-  std::string src =
-      bee::NativeJit::GenerateGclSource(s, s, {}, "bee_gcl_x");
+  std::string src = LowerFor(s, s, {}, "bee_gcl_x");
   // The isnull collapse, the straight-line loads, and the early-outs.
   EXPECT_NE(src.find("memset(isnull, 0"), std::string::npos);
   EXPECT_NE(src.find("values[0]"), std::string::npos);
@@ -308,8 +319,7 @@ TEST(NativeJit, GeneratedSourceHasListing2Shape) {
   // With a specialized column the hole appears.
   Schema stored({Column("a", TypeId::kInt32, true),
                  Column("v", TypeId::kVarchar, true)});
-  std::string src2 =
-      bee::NativeJit::GenerateGclSource(s, stored, {1}, "bee_gcl_y");
+  std::string src2 = LowerFor(s, stored, {1}, "bee_gcl_y");
   EXPECT_NE(src2.find("sections[(unsigned char)tuple[3]]"),
             std::string::npos);
   EXPECT_NE(src2.find("sec[0]"), std::string::npos);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <barrier>
+#include <thread>
+#include <vector>
+
 #include "storage/tuple.h"
 #include "test_util.h"
 
@@ -125,6 +129,43 @@ TEST(TupleFormDeform, AttCacheOffPopulatedForFixedPrefix) {
   EXPECT_EQ(s.column(2).attcacheoff(), 16);  // aligned right after b
   // The attribute after the varlena cannot have a constant offset.
   EXPECT_EQ(s.column(3).attcacheoff(), -1);
+}
+
+/// Concurrent scans of one relation race to fill the per-column attcacheoff
+/// caches on their first deform. The threads leave one barrier together so
+/// their first DeformTuple calls overlap on a fresh schema (every cache
+/// still -1); under TSan a plain access to the cache is a reported race.
+TEST(TupleFormDeform, ConcurrentFirstDeformFillsAttCacheOff) {
+  constexpr int kThreads = 4;
+  Arena arena;
+  for (int round = 0; round < 20; ++round) {
+    Schema s({Column("a", TypeId::kInt32, true),
+              Column("b", TypeId::kInt64, true),
+              Column("v", TypeId::kVarchar, true),
+              Column("z", TypeId::kInt32, true)});
+    Datum in[4] = {DatumFromInt32(round), DatumFromInt64(2),
+                   tupleops::MakeVarlena(&arena, "abc"), DatumFromInt32(3)};
+    std::string buf(tupleops::ComputeTupleSize(s, in, nullptr), '\0');
+    tupleops::FormTuple(s, in, nullptr, buf.data());
+    const std::string want = RowToString(s, in, nullptr);
+
+    std::barrier start(kThreads);
+    std::vector<std::string> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        Datum out[4];
+        bool isnull[4];
+        tupleops::DeformTuple(s, buf.data(), 4, out, isnull);
+        seen[static_cast<size_t>(t)] = RowToString(s, out, isnull);
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    for (const std::string& got : seen) EXPECT_EQ(got, want);
+    EXPECT_EQ(s.column(1).attcacheoff(), 8);
+    EXPECT_EQ(s.column(2).attcacheoff(), 16);
+  }
 }
 
 TEST(TupleFormDeform, BeeIdStoredInHeader) {

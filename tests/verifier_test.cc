@@ -272,126 +272,9 @@ TEST(BeeVerifier, RejectsCorruptFormPrograms) {
   }
 }
 
-/// The native-backend lint accepts GenerateGclSource output and rejects
-/// sources whose offset constants disagree with the layout model.
-TEST(BeeVerifier, NativeLintCrossChecksGeneratedSource) {
-  Schema s = VerifierSchema();
-  std::string src = bee::NativeJit::GenerateGclSource(s, s, {}, "bee_lint_x");
-  EXPECT_OK(BeeVerifier::LintNativeGclSource(src, s, s, {}));
-
-  // Tamper with the int8 attribute's fixed offset (8 -> 12).
-  std::string bad = src;
-  size_t at = bad.find("tp + 8,");
-  ASSERT_NE(at, std::string::npos);
-  bad.replace(at, 7, "tp + 12,");
-  Status st = BeeVerifier::LintNativeGclSource(bad, s, s, {});
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("fixed offset constant"), std::string::npos)
-      << st.message();
-
-  // Drop a partial-deform early-out.
-  bad = src;
-  at = bad.find("if (natts < 3) return;");
-  ASSERT_NE(at, std::string::npos);
-  bad.erase(at, 22);
-  st = BeeVerifier::LintNativeGclSource(bad, s, s, {});
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("early-out"), std::string::npos) << st.message();
-
-  // Remove the dynamic alignment mask after the varlena.
-  bad = src;
-  at = bad.find("& ~3u");
-  ASSERT_NE(at, std::string::npos);
-  bad.replace(at, 5, "& ~0u");
-  st = BeeVerifier::LintNativeGclSource(bad, s, s, {});
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("alignment mask"), std::string::npos)
-      << st.message();
-}
-
-/// The GCL-B page-batch routine in the same translation unit is linted from
-/// the same layout model: loop bound, break-guards, column-major stores,
-/// and per-attribute null clears are all load-bearing.
-TEST(BeeVerifier, NativeLintChecksBatchRoutine) {
-  Schema s = VerifierSchema();
-  std::string src = bee::NativeJit::GenerateGclSource(s, s, {}, "bee_lint_b");
-  EXPECT_OK(BeeVerifier::LintNativeGclSource(src, s, s, {}));
-  const size_t bpos = src.find("_b(const char* const* tuples");
-  ASSERT_NE(bpos, std::string::npos);
-
-  // Loosen the page-loop bound past the live-tuple count.
-  std::string bad = src;
-  size_t at = bad.find("r < ntuples", bpos);
-  ASSERT_NE(at, std::string::npos);
-  bad.replace(at, 11, "r <= ntuples");
-  Status st = BeeVerifier::LintNativeGclSource(bad, s, s, {});
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("page loop bound"), std::string::npos)
-      << st.message();
-
-  // A guard that returns instead of breaking would skip the rest of the
-  // page's tuples.
-  bad = src;
-  at = bad.find("if (natts < 3) break;", bpos);
-  ASSERT_NE(at, std::string::npos);
-  bad.replace(at, 21, "if (natts < 3) return;");
-  st = BeeVerifier::LintNativeGclSource(bad, s, s, {});
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("must break, not return"), std::string::npos)
-      << st.message();
-
-  // A row-constant store writes one cell for the whole page.
-  bad = src;
-  at = bad.find("cols[1][r]", bpos);
-  ASSERT_NE(at, std::string::npos);
-  bad.replace(at, 10, "cols[1][0]");
-  st = BeeVerifier::LintNativeGclSource(bad, s, s, {});
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("column-major store"), std::string::npos)
-      << st.message();
-
-  // Dropping a null clear leaves stale isnull flags from the last batch.
-  bad = src;
-  at = bad.find("nulls[4][r] = 0;", bpos);
-  ASSERT_NE(at, std::string::npos);
-  bad.erase(at, 16);
-  st = BeeVerifier::LintNativeGclSource(bad, s, s, {});
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("null clear"), std::string::npos)
-      << st.message();
-
-  // Removing the batch routine entirely must be rejected: the scalar and
-  // batch halves publish together.
-  bad = src.substr(0, bpos);
-  st = BeeVerifier::LintNativeGclSource(bad, s, s, {});
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("GCL-B"), std::string::npos) << st.message();
-}
-
-TEST(BeeVerifier, NativeLintChecksSectionHoles) {
-  Column lc("flag", TypeId::kChar, true, 1);
-  lc.set_low_cardinality(true);
-  Schema logical({Column("a", TypeId::kInt32, true), lc,
-                  Column("v", TypeId::kVarchar, true)});
-  Schema stored({Column("a", TypeId::kInt32, true),
-                 Column("v", TypeId::kVarchar, true)});
-  std::string src =
-      bee::NativeJit::GenerateGclSource(logical, stored, {1}, "bee_lint_s");
-  EXPECT_OK(BeeVerifier::LintNativeGclSource(src, logical, stored, {1}));
-
-  std::string bad = src;
-  size_t at = bad.find("sec[0]");
-  ASSERT_NE(at, std::string::npos);
-  bad.replace(at, 6, "sec[7]");
-  Status st = BeeVerifier::LintNativeGclSource(bad, logical, stored, {1});
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("section slot"), std::string::npos)
-      << st.message();
-}
-
 /// Every seed-generated bee for the TPC-H and TPC-C schemas passes under
 /// VerifyMode::kEnforce, with both backends built (the native backend is
-/// linted from the same layout model when a compiler exists).
+/// lowered from the same verified programs when a compiler exists).
 TEST(BeeVerifier, TpchAndTpccBeesVerifyUnderEnforce) {
   ScratchDir dir;
   bee::BeeBackend backend = bee::NativeJit::CompilerAvailable()
@@ -589,46 +472,6 @@ TEST(BeeVerifier, EvjVerification) {
     Status st = BeeVerifier::VerifyEvj(mutant, outer, inner, key_meta, 4, 3);
     ASSERT_FALSE(st.ok());
     EXPECT_NE(st.message().find("hash kernel"), std::string::npos)
-        << st.message();
-  }
-}
-
-TEST(BeeVerifier, NativeEvpLintCrossChecksGeneratedSource) {
-  std::vector<ColMeta> meta = EvpMeta();
-  ExprPtr e = And(ExprListOf(
-      Cmp(CmpOp::kLt, Var(0, meta[0]), ConstInt32(5)),
-      Cmp(CmpOp::kGt, Var(2, meta[2]), ConstFloat64(1.5))));
-  bee::PlacementArena arena;
-  auto b = bee::TrySpecializePredicate(*e, &arena, true);
-  ASSERT_NE(b, nullptr);
-  std::string src = bee::NativeJit::GenerateEvpSource(*b, "evp_lint");
-  EXPECT_OK(BeeVerifier::LintNativeEvpSource(src, *b));
-
-  auto drop = [&](const std::string& token) {
-    std::string tampered = src;
-    size_t at;
-    while ((at = tampered.find(token)) != std::string::npos) {
-      tampered.erase(at, token.size());
-    }
-    return BeeVerifier::LintNativeEvpSource(tampered, *b);
-  };
-  {  // row-form null guard for clause 0
-    Status st = drop("if (isnull[0]) return 0;");
-    ASSERT_FALSE(st.ok());
-    EXPECT_NE(st.message().find("null guard"), std::string::npos)
-        << st.message();
-  }
-  {  // batch compaction loop bound
-    Status st = drop("for (int i = 0; i < nsel; ++i)");
-    ASSERT_FALSE(st.ok());
-    EXPECT_NE(st.message().find("bounded by the live count"),
-              std::string::npos)
-        << st.message();
-  }
-  {  // in-place selection-vector writeback
-    Status st = drop("sel[out++] = r;");
-    ASSERT_FALSE(st.ok());
-    EXPECT_NE(st.message().find("compacted in place"), std::string::npos)
         << st.message();
   }
 }
