@@ -46,8 +46,9 @@ ThreadCell::~ThreadCell() {
   reg.retired += ops.load(std::memory_order_relaxed);
 }
 
-ThreadCell& Cell() {
+ThreadCell& RegisterCell() {
   thread_local ThreadCell cell;
+  t_cell = &cell;
   return cell;
 }
 

@@ -23,7 +23,9 @@ namespace microspec {
 /// workers — a plain thread_local would silently drop it. The hot path is
 /// single-writer: store(load+n, relaxed) compiles to plain load/add/store
 /// with no lock prefix, and cross-thread readers stay TSan-clean because the
-/// cell is an atomic.
+/// cell is an atomic. Bump reads the cell through a constant-initialized
+/// thread_local pointer, inline and with no init guard; only a thread's
+/// first use takes the out-of-line registration call.
 namespace workops {
 
 struct ThreadCell {
@@ -36,7 +38,17 @@ struct ThreadCell {
   uint64_t reset_base = 0;
 };
 
-ThreadCell& Cell();
+/// This thread's registered cell; null until the thread's first use.
+inline constinit thread_local ThreadCell* t_cell = nullptr;
+
+/// Creates and registers this thread's cell, points t_cell at it and
+/// returns it. Out of line: it runs once per thread.
+ThreadCell& RegisterCell();
+
+inline ThreadCell& Cell() {
+  ThreadCell* cell = t_cell;
+  return cell != nullptr ? *cell : RegisterCell();
+}
 
 inline void Bump(uint64_t n = 1) {
   std::atomic<uint64_t>& c = Cell().ops;

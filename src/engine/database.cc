@@ -10,6 +10,16 @@ namespace {
 /// Per-thread scratch for tuple forming, so concurrent TPC-C terminals do
 /// not contend on a shared buffer.
 thread_local std::string t_form_buf;
+
+/// Per-thread scratch for a WAL before-image. It is sized to one page on
+/// first use and reused, so Update and Delete zero-fill no page per call.
+thread_local std::vector<char> t_old_img;
+
+/// Copies tuple `tid`'s bytes into t_old_img and their length into *len.
+Status FetchBeforeImage(TableInfo* table, TupleId tid, uint32_t* len) {
+  t_old_img.resize(kPageSize);
+  return table->heap()->Fetch(tid, t_old_img.data(), kPageSize, len);
+}
 }  // namespace
 
 namespace {
@@ -266,13 +276,9 @@ Result<TupleId> Database::Update(ExecContext* ctx, TableInfo* table,
   }
   // The before-image, captured ahead of the mutation: undo restores exactly
   // these bytes.
-  std::string old_img;
+  uint32_t old_len = 0;
   if (wal_ != nullptr) {
-    old_img.resize(kPageSize);
-    uint32_t old_len = 0;
-    MICROSPEC_RETURN_NOT_OK(
-        table->heap()->Fetch(tid, old_img.data(), kPageSize, &old_len));
-    old_img.resize(old_len);
+    MICROSPEC_RETURN_NOT_OK(FetchBeforeImage(table, tid, &old_len));
   }
 
   const TupleFormer* former = ctx->FormerFor(table);
@@ -292,16 +298,15 @@ Result<TupleId> Database::Update(ExecContext* ctx, TableInfo* table,
       // In place: one kUpdate record, one page mutation.
       std::string payload;
       walenc::EncodeUpdate(&payload, table->id(), tid, new_tid,
-                           old_img.data(),
-                           static_cast<uint32_t>(old_img.size()),
-                           t_form_buf.data(), new_len);
+                           t_old_img.data(), old_len, t_form_buf.data(),
+                           new_len);
       LogDml(txn, WalRecordType::kUpdate, payload, pin_new.data());
     } else {
       // Moved: an explicit kDelete + kInsert pair so each record demands
       // exactly one page mutation (storage/wal.h, EncodeUpdate contract).
       std::string del;
-      walenc::EncodeTupleOp(&del, table->id(), tid, old_img.data(),
-                            static_cast<uint32_t>(old_img.size()));
+      walenc::EncodeTupleOp(&del, table->id(), tid, t_old_img.data(),
+                            old_len);
       LogDml(txn, WalRecordType::kDelete, del, pin_old.data());
       std::string ins;
       walenc::EncodeTupleOp(&ins, table->id(), new_tid, t_form_buf.data(),
@@ -349,21 +354,17 @@ Status Database::Delete(ExecContext* ctx, TableInfo* table, TupleId tid,
   }
   // Before-image for the kDelete record: undo re-installs these bytes at
   // the preserved slot offset (LogApplyOp::kRestore).
-  std::string old_img;
+  uint32_t old_len = 0;
   if (wal_ != nullptr) {
-    old_img.resize(kPageSize);
-    uint32_t old_len = 0;
-    MICROSPEC_RETURN_NOT_OK(
-        table->heap()->Fetch(tid, old_img.data(), kPageSize, &old_len));
-    old_img.resize(old_len);
+    MICROSPEC_RETURN_NOT_OK(FetchBeforeImage(table, tid, &old_len));
   }
   PageGuard pin;
   MICROSPEC_RETURN_NOT_OK(
       table->heap()->Delete(tid, wal_ != nullptr ? &pin : nullptr));
   if (wal_ != nullptr) {
     std::string payload;
-    walenc::EncodeTupleOp(&payload, table->id(), tid, old_img.data(),
-                          static_cast<uint32_t>(old_img.size()));
+    walenc::EncodeTupleOp(&payload, table->id(), tid, t_old_img.data(),
+                          old_len);
     LogDml(txn, WalRecordType::kDelete, payload, pin.data());
     pin.Release();
   }

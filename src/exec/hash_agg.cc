@@ -156,7 +156,7 @@ Status HashAggregate::Init() {
   emit_pos_ = 0;
   groups_.clear();
   arena_.Reset();
-  buckets_.assign(1024, nullptr);
+  buckets_.assign(kInitialBuckets, nullptr);
   bucket_mask_ = buckets_.size() - 1;
   values_buf_.assign(meta_.size(), 0);
   isnull_buf_ = std::make_unique<bool[]>(meta_.size());
@@ -218,7 +218,18 @@ HashAggregate::Group* HashAggregate::FindOrCreateGroup(uint64_t h,
   g->next = buckets_[h & bucket_mask_];
   buckets_[h & bucket_mask_] = g;
   groups_.push_back(g);
+  if (groups_.size() > buckets_.size()) GrowBuckets();
   return g;
+}
+
+void HashAggregate::GrowBuckets() {
+  buckets_.assign(buckets_.size() * 2, nullptr);
+  bucket_mask_ = buckets_.size() - 1;
+  for (Group* g : groups_) {
+    Group*& head = buckets_[g->hash & bucket_mask_];
+    g->next = head;
+    head = g;
+  }
 }
 
 // inline: the generic update runs it per aggregate per row.

@@ -92,6 +92,11 @@ class HashAggregate final : public Operator {
   /// and batch probes; the parallel merge is uncharged).
   template <bool kCharged, typename KeyAt>
   Group* FindOrCreateGroup(uint64_t h, const KeyAt& key_at);
+  /// Doubles the bucket table and re-chains every group from groups_ with
+  /// its stored hash. FindOrCreateGroup calls it once the group count
+  /// exceeds the bucket count, so chains stay about one group long at any
+  /// group count. Uncharged, like the join build's chaining.
+  void GrowBuckets();
   /// Folds one non-NULL argument value into aggregate i's state: COUNTs
   /// increment, SUM/AVG add, MIN/MAX compare and deep-copy a new extreme
   /// into arena_. Charges nothing; callers own the cost model.
@@ -140,6 +145,10 @@ class HashAggregate final : public Operator {
   std::vector<AggSpec> aggs_;
   std::vector<ColMeta> group_meta_;
   std::vector<ColMeta> agg_arg_meta_;
+
+  /// The table starts at this many buckets, so an aggregate with at most
+  /// this many groups never grows and probes exactly as a fixed table.
+  static constexpr size_t kInitialBuckets = 1024;
 
   Arena arena_;
   std::vector<Group*> buckets_;

@@ -25,10 +25,14 @@ struct JoinBuildRow {
 /// The build half shared by the serial HashJoin and SharedJoinBuild's
 /// partitions: Inits `child`, copies each of its rows (by-reference Datums
 /// deep-copied) into `arena`, hashes the row's inner keys with `keys`, and
-/// appends it to `rows`. The child is closed on every path after a
-/// successful Init; the first Next error is returned.
+/// appends it to `rows`. With `batch_rows` > 0 and a BatchCapable child the
+/// rows arrive as RowBatches of that capacity through NextBatch, else one
+/// at a time through Next; the rows and their order are the same. The child
+/// is closed on every path after a successful Init; the first Next or
+/// NextBatch error is returned.
 Status DrainJoinBuild(Operator* child, const JoinKeyEvaluator& keys,
-                      Arena* arena, std::vector<JoinBuildRow*>* rows);
+                      int batch_rows, Arena* arena,
+                      std::vector<JoinBuildRow*>* rows);
 
 /// Sizes `buckets` to the smallest power of two (at least 16) holding
 /// twice `rows`, chains every row in order (each new row heads its
@@ -47,6 +51,14 @@ uint64_t ChainJoinBuild(const std::vector<JoinBuildRow*>& rows,
 /// itself is also statically specialized on the join type, mirroring the
 /// paper's pre-compiled join-type variants; the stock path dispatches on the
 /// join type at run time.
+///
+/// Batch input: when the context enables batching and a child subtree is
+/// BatchCapable (the rule HashAggregate uses), the build drains that child
+/// through NextBatch and the probe pulls outer RowBatches, gathering one
+/// selected row at a time into a row buffer that key hashing, key compare,
+/// the residual and the output read. The outer batch is refilled only after
+/// its last row has been emitted, so pointer Datums into its pinned page
+/// stay valid for as long as a parent may read the output row.
 ///
 /// Output: outer columns ++ inner columns for kInner/kLeft (inner columns
 /// NULL for unmatched kLeft rows); outer columns only for kSemi/kAnti.
@@ -78,6 +90,11 @@ class HashJoin final : public Operator {
   /// Flushes probe-rows vs matches into StatsFeedback, keyed by the EVJ
   /// fingerprint (observed join selectivity for the future optimizer).
   void FlushStats();
+  /// Points outer_values_/outer_isnull_ at the next outer row: the outer
+  /// child's own row, or the next selected row of outer_batch_ gathered into
+  /// the row buffer (refilling the batch once every row has been taken).
+  /// Sets *has_row = false at end of stream.
+  Status AdvanceOuter(bool* has_row);
   /// Emits outer ++ inner (inner may be nullptr => NULLs for kLeft).
   void EmitCombined(const BuildRow* inner_row);
   bool RowMatches(const BuildRow* entry) const;
@@ -107,7 +124,9 @@ class HashJoin final : public Operator {
   uint64_t bucket_mask_ = 0;
   Arena build_arena_;
 
-  // Probe state.
+  // Probe state. outer_values_/outer_isnull_ is the current outer row.
+  const Datum* outer_values_ = nullptr;
+  const bool* outer_isnull_ = nullptr;
   BuildRow* chain_ = nullptr;
   uint64_t cur_hash_ = 0;
   bool outer_matched_ = false;
@@ -117,6 +136,14 @@ class HashJoin final : public Operator {
   size_t inner_width_ = 0;
   std::vector<Datum> values_buf_;
   std::unique_ptr<bool[]> isnull_buf_;
+
+  // Batch probe: non-null while the outer child is drained through
+  // NextBatch. outer_pos_ indexes its selection vector; the gathered row
+  // lives in orow_values_/orow_isnull_.
+  std::unique_ptr<RowBatch> outer_batch_;
+  int outer_pos_ = 0;
+  std::vector<Datum> orow_values_;
+  std::unique_ptr<bool[]> orow_isnull_;
 
   // Observed-selectivity accounting (flushed on Close when the context
   // carries a StatsFeedback; the counters themselves are always cheap).

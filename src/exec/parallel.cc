@@ -242,8 +242,9 @@ Status SharedJoinBuild::EnsureBuilt(const JoinKeyEvaluator& keys) {
     size_t i = next_partition_.fetch_add(1, std::memory_order_relaxed);
     if (i >= partition_ops_.size()) break;
     Partition& p = partials_[i];
-    Status st =
-        DrainJoinBuild(partition_ops_[i].get(), keys, &p.arena, &p.rows);
+    Status st = DrainJoinBuild(partition_ops_[i].get(), keys,
+                               partition_ctxs_[i]->batch_rows(), &p.arena,
+                               &p.rows);
     std::lock_guard<std::mutex> l(mutex_);
     if (!st.ok() && status_.ok()) status_ = st;
     ++drained_;

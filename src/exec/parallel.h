@@ -108,9 +108,10 @@ class Gather final : public Operator {
 /// threads; each arriving worker claims undrained build partitions (the
 /// inner plan's fragments) from an atomic index and drains them into
 /// per-partition row lists (DrainJoinBuild, hashing with that worker's own
-/// join-key evaluator), and the last to finish merges the lists into the
-/// shared chained table (ChainJoinBuild) — the same two routines as the
-/// serial HashJoin build. Workers that arrive after all partitions are
+/// join-key evaluator and batching as the partition's context says), and
+/// the last to finish merges the lists into the shared chained table
+/// (ChainJoinBuild) — the same two routines as the serial HashJoin build,
+/// so every dop takes one build path. Workers that arrive after all partitions are
 /// claimed wait for the merge. The table is built once and reused across
 /// probe re-Inits (the data under a query does not change mid-plan).
 class SharedJoinBuild {
