@@ -212,17 +212,24 @@ TEST_F(ParallelExecTest, JoinTypesMatchSerial) {
     OperatorPtr sop = std::move(sjoin).Build();
     std::vector<std::string> expected = Sorted(CollectRows(sop.get()));
 
-    auto pctx = Ctx(4, /*morsel_pages=*/2);
-    Plan pouter = Plan::Scan(pctx.get(), fact_);
-    Plan pinner = Plan::Scan(pctx.get(), dim_);
-    ExprPtr pres =
-        Cmp(CmpOp::kGt, pinner.inner_var("v"), ConstInt64(5));
-    Plan pjoin = Plan::Join(std::move(pouter), std::move(pinner), {{"k", "k"}},
-                            type, std::move(pres));
-    OperatorPtr pop = std::move(pjoin).Build();
-    EXPECT_EQ(Sorted(CollectRows(pop.get())), expected)
-        << "join type " << static_cast<int>(type);
+    // With batching on, the shared build drains its partitions and each
+    // probe fragment pulls its outer morsels as page batches: the same
+    // DrainJoinBuild as the serial build, at every dop.
+    for (int batch : {0, kMaxTuplesPerPage}) {
+      auto pctx = Ctx(4, /*morsel_pages=*/2);
+      pctx->set_batch(batch);
+      Plan pouter = Plan::Scan(pctx.get(), fact_);
+      Plan pinner = Plan::Scan(pctx.get(), dim_);
+      ExprPtr pres =
+          Cmp(CmpOp::kGt, pinner.inner_var("v"), ConstInt64(5));
+      Plan pjoin = Plan::Join(std::move(pouter), std::move(pinner),
+                              {{"k", "k"}}, type, std::move(pres));
+      OperatorPtr pop = std::move(pjoin).Build();
+      EXPECT_EQ(Sorted(CollectRows(pop.get())), expected)
+          << "join type " << static_cast<int>(type) << " batch " << batch;
+    }
   }
+  ASSERT_OK(db_->DropCaches());  // no probe or build batch kept a page pin
 }
 
 TEST_F(ParallelExecTest, JoinForgesOneEvjBeePerProbeFragment) {
