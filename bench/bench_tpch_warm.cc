@@ -5,8 +5,8 @@
 //
 // With --trace-gate it instead verifies that instrumentation costs nothing
 // when off: the full query suite is timed with telemetry off and on, then
-// with tracing off and on (full per-query span trees and column sketches),
-// each pair interleaved, and the run fails if either OFF path is more than
+// with tracing off and on (full per-query span trees), each pair
+// interleaved, and the run fails if either OFF path is more than
 // kTraceGateTolPct (2) percent slower than its ON path. With --batch-gate it
 // fails if the page-batched warm scan is more than kBatchGateTolPct (5)
 // percent slower than the scalar pipeline. Both gates retry a few times to
@@ -293,10 +293,9 @@ int RunBatchGate() {
 /// Each instrument's off path is timed against its own on path:
 ///   * telemetry: the suite with telemetry::SetEnabled(false) vs (true);
 ///   * tracing: the stock bench path (trace_sample_n = 0: null
-///     TraceContext, no stats feedback — exactly what every figure harness
-///     runs) vs the same suite with a forced trace installed on every query
-///     context plus workload-stats collection, i.e. full per-query span
-///     trees and per-column sketches.
+///     TraceContext — exactly what every figure harness runs) vs the same
+///     suite with a forced trace installed on every query context, i.e.
+///     full per-query span trees.
 /// OFF must not be slower than ON by more than kTraceGateTolPct percent:
 /// tracing's off-path residue is one null test on per-query paths and one
 /// thread-local load on stall paths. Each check is interleaved
@@ -315,11 +314,10 @@ int RunTraceGate() {
   };
   // The traced side mirrors what sqlfe does for a sampled statement:
   // statement root span, default parent for bee summaries, thread-local
-  // install for wait attribution, stats-feedback sink on the context.
+  // install for wait attribution.
   auto run_traced = [&] {
     for (int q = 1; q <= tpch::kNumTpchQueries; ++q) {
       auto ctx = db->MakeContext(SessionOptions::AllBees());
-      ctx->set_stats_feedback(db->stats_feedback());
       std::shared_ptr<trace::Trace> tr = db->tracer()->StartForced();
       uint32_t root = tr->Begin(0, trace::SpanKind::kStatement,
                                 "q" + std::to_string(q));

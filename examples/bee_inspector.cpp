@@ -324,7 +324,6 @@ std::unique_ptr<Database> RunTracedTpchWorkload(uint64_t slow_query_ns) {
   options.dop = 2;
   options.trace_sample_n = 1;
   options.slow_query_ns = slow_query_ns;
-  options.stats_feedback = true;
   if (bee::NativeJit::CompilerAvailable()) {
     options.backend = bee::BeeBackend::kNative;
   }

@@ -5,11 +5,9 @@ Usage:
     bench_diff.py BASELINE.json CANDIDATE.json [--threshold-pct N]
                   [--metric-filter SUBSTR]
 
-Prints per-metric deltas for the benchmark results, the embedded telemetry
-section (counters/gauges flattened by name+labels, histograms by count/p50),
-and a dedicated observed-selectivity section (the stats-feedback gauges per
-EVP/EVJ fingerprint, where drift between runs means the workload or the
-specializer changed behaviour).
+Prints per-metric deltas for the benchmark results and the embedded
+telemetry section (counters/gauges flattened by name+labels, histograms by
+count/p50).
 
 Exit code 1 when any *timing* metric regressed beyond the threshold
 (default 5%): metrics named *_seconds regress when the candidate is slower,
@@ -61,20 +59,6 @@ def telemetry_map(doc):
             out[key + ".p50"] = s.get("p50", 0)
         else:
             out[key] = s.get("value", 0)
-    return out
-
-
-def selectivity_map(doc):
-    """fp label -> (selectivity, expr/keys display) for the feedback gauges."""
-    out = {}
-    telemetry = doc.get("telemetry") or {}
-    for s in telemetry.get("metrics", []):
-        if s["name"] not in ("microspec_predicate_selectivity",
-                             "microspec_join_selectivity"):
-            continue
-        labels = s.get("labels", {})
-        display = labels.get("expr") or labels.get("keys") or ""
-        out[labels.get("fp", "?")] = (s.get("value", 0), display)
     return out
 
 
@@ -207,20 +191,6 @@ def main():
     if added or removed:
         print("telemetry samples only in candidate: %d, only in baseline: %d"
               % (added, removed))
-
-    # --- observed selectivity --------------------------------------------------
-    a_sel, b_sel = selectivity_map(a_doc), selectivity_map(b_doc)
-    rows = []
-    for fp in sorted(set(a_sel) | set(b_sel)):
-        va = a_sel.get(fp)
-        vb = b_sel.get(fp)
-        display = (va or vb)[1]
-        sa = "%.4f" % va[0] if va else "-"
-        sb = "%.4f" % vb[0] if vb else "-"
-        drift = ("%+.4f" % (vb[0] - va[0])) if va and vb else "-"
-        rows.append((fp, display, sa, sb, drift))
-    print_table("observed selectivity per bee fingerprint", rows,
-                ["fp", "expr/keys", "baseline", "candidate", "drift"])
 
     # --- verdict ---------------------------------------------------------------
     if regressions:

@@ -53,15 +53,14 @@
 #      simple and prepared execution of the TPC-H statement set, rows
 #      diffed against the library path, a /metrics scrape, and a clean
 #      drain on shutdown.
-#   9. Tracing & stats-feedback gate, run unconditionally: the tracing
-#      suite under ASan/UBSan and under TSan (fragment spans append from
-#      worker threads while the driver opens phase spans — the exact race
-#      surface), the stats-feedback suite under ASan/UBSan, then the one
-#      instrumentation-overhead gate, bench_tpch_warm --trace-gate: it times
-#      the TPC-H suite with telemetry off vs on, then with tracing off
-#      (trace_sample_n=0, the default every figure harness runs) vs full
-#      span trees and column sketches, and fails if either off path is
-#      measurably slower than its on path. Tiny scale factor, so it's fast.
+#   9. Tracing gate, run unconditionally: the tracing suite under
+#      ASan/UBSan and under TSan (fragment spans append from worker threads
+#      while the driver opens phase spans — the exact race surface), then
+#      the one instrumentation-overhead gate, bench_tpch_warm --trace-gate:
+#      it times the TPC-H suite with telemetry off vs on, then with tracing
+#      off (trace_sample_n=0, the default every figure harness runs) vs full
+#      span trees, and fails if either off path is measurably slower than
+#      its on path. Tiny scale factor, so it's fast.
 #  10. WAL & recovery gate, run unconditionally: the WAL unit suite and the
 #      kill-and-replay differential harness (fork a child per crash point,
 #      SIGKILL it mid-flush via MICROSPEC_FAILPOINT, recover, diff against
@@ -192,16 +191,13 @@ TSAN_OPTIONS=halt_on_error=1 "$TSAN_DIR"/tests/server_test
 MICROSPEC_SF="${MICROSPEC_GATE_SF:-0.005}" \
   "$BUILD_DIR"/bench/bench_server --smoke
 
-echo "== 9/10: tracing & stats-feedback gate =="
+echo "== 9/10: tracing gate =="
 # Span buffers are appended from every executor worker of a sampled query;
 # the tracing suite runs under both sanitizer families before anything
-# ships. The stats-feedback suite (exact selectivity counts, sketch
-# merges) runs under ASan/UBSan.
-cmake --build "$ASAN_DIR" -j "$JOBS" --target tracing_test stats_feedback_test
+# ships.
+cmake --build "$ASAN_DIR" -j "$JOBS" --target tracing_test
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
   "$ASAN_DIR"/tests/tracing_test
-ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
-  "$ASAN_DIR"/tests/stats_feedback_test
 cmake --build "$TSAN_DIR" -j "$JOBS" --target tracing_test
 TSAN_OPTIONS=halt_on_error=1 "$TSAN_DIR"/tests/tracing_test
 

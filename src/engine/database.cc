@@ -484,7 +484,6 @@ telemetry::TelemetrySnapshot Database::SnapshotTelemetry() {
   snap.AddCounter("microspec_wal_fsyncs_total",
                   static_cast<double>(stats_.wal_fsyncs.Value()));
   if (bees_ != nullptr) bees_->FillTelemetry(&snap);
-  stats_feedback_.FillSnapshot(&snap);
   tracer_.FillSnapshot(&snap);
   telemetry::Registry::Global().FillSnapshot(&snap);
   return snap;

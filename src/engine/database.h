@@ -15,7 +15,6 @@
 #include "common/tracing.h"
 #include "exec/operator.h"
 #include "exec/shared_bees.h"
-#include "exec/stats_feedback.h"
 #include "storage/recovery.h"
 #include "storage/wal.h"
 
@@ -65,10 +64,6 @@ struct DatabaseOptions {
   /// Statements slower than this land in the slow-query log, which
   /// references their traces (sampled statements only).
   uint64_t slow_query_ns = 250'000'000;  // 250 ms
-  /// Workload statistics feedback (DESIGN.md §10): collect per-column
-  /// min/max/ndv sketches during scans and observed selectivity per EVP/EVJ
-  /// fingerprint, merged into SnapshotTelemetry(). Off by default.
-  bool stats_feedback = false;
   /// Write-ahead logging (DESIGN.md §11): physiological WAL + ARIES-lite
   /// restart recovery. Off by default — the benchmarks that predate the WAL
   /// keep their exact I/O profile.
@@ -163,19 +158,13 @@ class Database {
     if (dop > 1) ctx->set_parallel(Executor(dop), dop, /*morsel_pages=*/0);
     ctx->set_batch(options_.batch_rows);
     if (options_.share_query_bees) ctx->set_shared_bees(&shared_bees_);
-    // Traces are per-statement (installed by sqlfe/server when sampled);
-    // the stats-feedback sink is database-wide and rides on every context.
-    if (options_.stats_feedback) ctx->set_stats_feedback(&stats_feedback_);
+    // Traces are per-statement (installed by sqlfe/server when sampled).
     return ctx;
   }
 
   /// The database's span tracer (sampling, trace ring, slow-query log).
   /// Always present; inert when trace_sample_n == 0.
   trace::Tracer* tracer() { return &tracer_; }
-
-  /// The workload-statistics sink (observed selectivities, column sketches).
-  /// Always present; only fed when options().stats_feedback.
-  StatsFeedback* stats_feedback() { return &stats_feedback_; }
 
   /// The process-wide query-bee cache (populated only when
   /// `share_query_bees`); exposed for the server's telemetry and tests.
@@ -291,7 +280,6 @@ class Database {
 
   DatabaseOptions options_;  // before tracer_: its ctor reads the options
   trace::Tracer tracer_;
-  StatsFeedback stats_feedback_;
   IoStats stats_;
   /// Before pool_ (destroyed after it): catalog/pool teardown may write back
   /// dirty pages, and the pool's flush hook targets this WAL.

@@ -2,14 +2,11 @@
 #define MICROSPEC_EXEC_FILTER_H_
 
 #include <memory>
-#include <string>
 #include <utility>
 
 #include "common/counters.h"
 #include "common/telemetry.h"
 #include "exec/operator.h"
-#include "exec/shared_bees.h"
-#include "exec/stats_feedback.h"
 
 namespace microspec {
 
@@ -17,11 +14,9 @@ namespace microspec {
 /// by the generic expression interpreter or by an EVP query bee, decided at
 /// Init (query-preparation) time by ExecContext::MakePredicate.
 ///
-/// Selectivity feedback: rows-in and rows-out are counted in two member
-/// integers unconditionally (cheap, branch-free) and flushed on Close into
-/// StatsFeedback keyed by the predicate's EVP fingerprint — but only when
-/// the context carries a collector, so the default path adds two increments
-/// per row and nothing else.
+/// Rows in and rows out are counted in two member integers on every path
+/// (row and batch); under a trace they become the rows/aux of the one
+/// aggregated bee span emitted on Close.
 class Filter final : public Operator {
  public:
   Filter(ExecContext* ctx, OperatorPtr child, ExprPtr predicate)
@@ -29,19 +24,12 @@ class Filter final : public Operator {
     meta_ = child_->output_meta();
   }
 
-  ~Filter() override { FlushStats(); }
+  ~Filter() override { EmitBeeSpan(); }
 
   Status Init() override {
     MICROSPEC_RETURN_NOT_OK(child_->Init());
     // Query preparation happens once; Init may be called again to rescan.
     if (evaluator_ == nullptr) {
-      // The fingerprint must be taken before MakePredicate consumes the
-      // expression tree; it is the exact QueryBeeCache key, so selectivity
-      // samples join against the PR 7 bee-cache accounting.
-      if (ctx_->stats_feedback() != nullptr && pred_expr_ != nullptr) {
-        fingerprint_ = ExprFingerprint(*pred_expr_, &meta_);
-        display_ = DescribeExpr(*pred_expr_);
-      }
       const bool traced = static_cast<bool>(ctx_->trace());
       if (traced) prepare_ns_ = telemetry::NowNs();
       evaluator_ = ctx_->MakePredicate(std::move(pred_expr_), &meta_);
@@ -95,16 +83,12 @@ class Filter final : public Operator {
 
   void Close() override {
     child_->Close();
-    FlushStats();
+    EmitBeeSpan();
   }
 
  private:
-  void FlushStats() {
+  void EmitBeeSpan() {
     if (rows_in_ == 0 && rows_out_ == 0) return;
-    StatsFeedback* sf = ctx_->stats_feedback();
-    if (sf != nullptr && !fingerprint_.empty()) {
-      sf->RecordPredicate(fingerprint_, display_, rows_in_, rows_out_);
-    }
     const trace::TraceContext& tc = ctx_->trace();
     if (tc && evaluator_ != nullptr) {
       // One aggregated bee-invocation span per run: rows = rows in,
@@ -124,8 +108,6 @@ class Filter final : public Operator {
   OperatorPtr child_;
   ExprPtr pred_expr_;
   std::unique_ptr<PredicateEvaluator> evaluator_;
-  std::string fingerprint_;
-  std::string display_;
   bool specialized_ = false;
   uint64_t prepare_ns_ = 0;
   uint64_t rows_in_ = 0;

@@ -2,8 +2,6 @@
 
 #include "common/counters.h"
 #include "exec/parallel.h"
-#include "exec/shared_bees.h"
-#include "exec/stats_feedback.h"
 
 namespace microspec {
 
@@ -126,13 +124,6 @@ Status HashJoin::Init() {
         outer_keys_[i])]);
   }
   if (keys_ == nullptr) {
-    if (ctx_->stats_feedback() != nullptr) {
-      // The exact QueryBeeCache key — join selectivity samples line up with
-      // the shared-bee accounting from PR 7.
-      fingerprint_ = JoinKeysFingerprint(outer_keys_, inner_keys_, key_meta,
-                                         static_cast<int>(outer_width_),
-                                         static_cast<int>(inner_width_));
-    }
     keys_ = ctx_->MakeJoinKeys(outer_keys_, inner_keys_, key_meta,
                                static_cast<int>(outer_width_),
                                static_cast<int>(inner_width_));
@@ -317,7 +308,6 @@ Status HashJoin::NextGeneric(bool* has_row) {
     // Advance the outer side and start a new probe.
     MICROSPEC_RETURN_NOT_OK(AdvanceOuter(has_row));
     if (!*has_row) return Status::OK();
-    ++probe_rows_;
     cur_hash_ = keys_->HashOuter(outer_values_, outer_isnull_);
     chain_ = buckets_data_[cur_hash_ & bucket_mask_];
     outer_matched_ = false;
@@ -373,7 +363,6 @@ Status HashJoin::NextStatic(bool* has_row) {
     }
     MICROSPEC_RETURN_NOT_OK(AdvanceOuter(has_row));
     if (!*has_row) return Status::OK();
-    ++probe_rows_;
     cur_hash_ = keys_->HashOuter(outer_values_, outer_isnull_);
     chain_ = buckets_data_[cur_hash_ & bucket_mask_];
     outer_matched_ = false;
@@ -382,36 +371,11 @@ Status HashJoin::NextStatic(bool* has_row) {
   }
 }
 
-Status HashJoin::Next(bool* has_row) {
-  Status st = (this->*next_fn_)(has_row);
-  if (st.ok() && *has_row) ++match_rows_;
-  return st;
-}
-
-void HashJoin::FlushStats() {
-  if (probe_rows_ == 0 && match_rows_ == 0) return;
-  StatsFeedback* sf = ctx_->stats_feedback();
-  if (sf != nullptr && !fingerprint_.empty()) {
-    std::string display = "outer(";
-    for (size_t i = 0; i < outer_keys_.size(); ++i) {
-      if (i != 0) display += ',';
-      display += "$" + std::to_string(outer_keys_[i]);
-    }
-    display += ")=inner(";
-    for (size_t i = 0; i < inner_keys_.size(); ++i) {
-      if (i != 0) display += ',';
-      display += "$" + std::to_string(inner_keys_[i]);
-    }
-    display += ')';
-    sf->RecordJoin(fingerprint_, display, probe_rows_, match_rows_);
-  }
-  probe_rows_ = match_rows_ = 0;
-}
+Status HashJoin::Next(bool* has_row) { return (this->*next_fn_)(has_row); }
 
 void HashJoin::Close() {
   if (outer_batch_ != nullptr) outer_batch_->Reset();  // drop the page pin
   outer_->Close();
-  FlushStats();
   if (shared_ != nullptr) return;  // the shared table outlives this probe
   buckets_.clear();
   buckets_data_ = nullptr;

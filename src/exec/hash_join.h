@@ -2,7 +2,6 @@
 #define MICROSPEC_EXEC_HASH_JOIN_H_
 
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -87,9 +86,6 @@ class HashJoin final : public Operator {
   using BuildRow = JoinBuildRow;
 
   Status BuildTable();
-  /// Flushes probe-rows vs matches into StatsFeedback, keyed by the EVJ
-  /// fingerprint (observed join selectivity for the future optimizer).
-  void FlushStats();
   /// Points outer_values_/outer_isnull_ at the next outer row: the outer
   /// child's own row, or the next selected row of outer_batch_ gathered into
   /// the row buffer (refilling the batch once every row has been taken).
@@ -144,12 +140,6 @@ class HashJoin final : public Operator {
   int outer_pos_ = 0;
   std::vector<Datum> orow_values_;
   std::unique_ptr<bool[]> orow_isnull_;
-
-  // Observed-selectivity accounting (flushed on Close when the context
-  // carries a StatsFeedback; the counters themselves are always cheap).
-  std::string fingerprint_;
-  uint64_t probe_rows_ = 0;
-  uint64_t match_rows_ = 0;
 };
 
 }  // namespace microspec

@@ -15,8 +15,6 @@
 
 namespace microspec {
 
-class StatsFeedback;
-
 /// Join semantics supported by the join operators. These are the variants
 /// the paper's EVJ bee enumerates ahead of time ("all possible combinations
 /// of the join routines ... can be enumerated and compiled ahead of time").
@@ -155,19 +153,13 @@ class ExecContext {
   void set_shared_bees(QueryBeeCache* cache) { shared_bees_ = cache; }
   QueryBeeCache* shared_bees() { return shared_bees_; }
 
-  /// --- Tracing & workload feedback (DESIGN.md §10) ---
+  /// --- Tracing (DESIGN.md §10) ---
   /// The sampled query's trace context (null for unsampled queries — the
   /// overwhelmingly common case). Set per statement by the sqlfe driver or
   /// the server session, never by Database::MakeContext; operators test the
   /// pointer once per query (Init/Close), never per row.
   void set_trace(const trace::TraceContext& tc) { trace_ = tc; }
   const trace::TraceContext& trace() const { return trace_; }
-
-  /// The shared workload-statistics sink (null unless
-  /// DatabaseOptions::stats_feedback is on). Scans/filters/joins flush
-  /// observed statistics into it on Close.
-  void set_stats_feedback(StatsFeedback* stats) { stats_feedback_ = stats; }
-  StatsFeedback* stats_feedback() { return stats_feedback_; }
 
   /// A fresh context for one parallel worker: same catalog, bee module,
   /// session switches, batch configuration and shared bee cache, but its
@@ -179,7 +171,6 @@ class ExecContext {
     ctx->set_batch(batch_rows_, gather_max_batches_);
     ctx->set_shared_bees(shared_bees_);
     ctx->set_trace(trace_);
-    ctx->set_stats_feedback(stats_feedback_);
     return ctx;
   }
 
@@ -248,7 +239,6 @@ class ExecContext {
   QueryStats* analyze_ = nullptr;
   QueryBeeCache* shared_bees_ = nullptr;
   trace::TraceContext trace_;
-  StatsFeedback* stats_feedback_ = nullptr;
   ThreadPool* executor_ = nullptr;
   int dop_ = 1;
   uint32_t morsel_pages_ = 0;  // 0 => kDefaultMorselPages

@@ -1,7 +1,5 @@
 #include "exec/seq_scan.h"
 
-#include "exec/stats_feedback.h"
-
 namespace microspec {
 
 SeqScan::SeqScan(ExecContext* ctx, TableInfo* table, int natts_to_fetch,
@@ -20,17 +18,6 @@ Status SeqScan::Init() {
   values_buf_.assign(static_cast<size_t>(natts_), 0);
   isnull_buf_ = std::make_unique<bool[]>(static_cast<size_t>(natts_));
   for (int i = 0; i < natts_; ++i) isnull_buf_[i] = false;
-  if (stats_ == nullptr && ctx_->stats_feedback() != nullptr) {
-    // A per-scan sketch collector when workload feedback is on; null (and
-    // therefore one never-taken branch per row) otherwise.
-    std::vector<std::string> cols;
-    cols.reserve(static_cast<size_t>(natts_));
-    for (int i = 0; i < natts_; ++i) {
-      cols.push_back(table_->schema().column(i).name());
-    }
-    stats_ = std::make_unique<ScanStatsCollector>(table_->name(),
-                                                  std::move(cols), meta_);
-  }
   iter_.reset();  // the first Next opens the first range
   whole_opened_ = false;
   values_ = values_buf_.data();
@@ -69,9 +56,6 @@ Status SeqScan::Next(bool* has_row) {
   }
   workops::Bump(10);  // executor node dispatch (ExecProcNode analog)
   deformer_->Deform(tuple, natts_, values_buf_.data(), isnull_buf_.get());
-  if (stats_ != nullptr) {
-    stats_->ObserveRow(values_buf_.data(), isnull_buf_.get());
-  }
   *has_row = true;
   return Status::OK();
 }
@@ -96,18 +80,9 @@ Status SeqScan::NextBatch(RowBatch* batch) {
   deformer_->DeformBatch(tuple_buf_.data(), n, natts_, batch->cols(),
                          batch->null_cols());
   batch->SetAllSelected(n);
-  if (stats_ != nullptr) stats_->ObserveBatch(*batch);
   return Status::OK();
 }
 
-void SeqScan::Close() {
-  iter_.reset();
-  if (stats_ != nullptr) {
-    // Each fragment of a parallel scan merges its own slice under the
-    // StatsFeedback mutex — safe from worker threads, totals add up.
-    ctx_->stats_feedback()->MergeScan(*stats_);
-    stats_.reset();
-  }
-}
+void SeqScan::Close() { iter_.reset(); }
 
 }  // namespace microspec

@@ -11,8 +11,6 @@
 
 namespace microspec {
 
-class ScanStatsCollector;
-
 /// Full scan of a relation. Every produced tuple goes through the session's
 /// TupleDeformer — the stock per-attribute loop, or the relation bee's GCL
 /// routine when micro-specialization is enabled. This is the operator whose
@@ -58,8 +56,6 @@ class SeqScan final : public Operator {
   std::vector<Datum> values_buf_;
   std::unique_ptr<bool[]> isnull_buf_;
   std::vector<const char*> tuple_buf_;
-  /// Column min/max/ndv sketches; non-null only under stats feedback.
-  std::unique_ptr<ScanStatsCollector> stats_;
 };
 
 }  // namespace microspec

@@ -141,8 +141,18 @@ class JsonScanner {
   size_t pos_ = 0;
 };
 
+/// A bee tier and batch size to run a traced query under.
+struct TierConfig {
+  bee::BeeBackend backend = bee::BeeBackend::kProgram;
+  int batch_rows = 0;
+  const char* label = "program_scalar";
+};
+
+void PrintTo(const TierConfig& tier, std::ostream* os) { *os << tier.label; }
+
 std::unique_ptr<Database> OpenTraced(const std::string& dir, uint32_t sample_n,
-                                     int dop = 1) {
+                                     int dop = 1,
+                                     const TierConfig& tier = TierConfig{}) {
   DatabaseOptions opts;
   opts.dir = dir;
   opts.enable_bees = true;
@@ -150,6 +160,8 @@ std::unique_ptr<Database> OpenTraced(const std::string& dir, uint32_t sample_n,
   opts.buffer_pool_frames = 2048;
   opts.trace_sample_n = sample_n;
   opts.dop = dop;
+  opts.backend = tier.backend;
+  opts.batch_rows = tier.batch_rows;
   auto res = Database::Open(std::move(opts));
   MICROSPEC_CHECK(res.ok());
   return res.MoveValue();
@@ -302,16 +314,11 @@ int CountKind(const std::map<uint32_t, trace::Span>& by_id,
   return n;
 }
 
-TEST(TracingEndToEnd, SerialSelectSpanTree) {
-  ScratchDir dir;
-  std::unique_ptr<Database> db = OpenTraced(dir.path() + "/db", 1);
-  std::unique_ptr<ExecContext> ctx = db->MakeContext();
-  LoadInts(db.get(), ctx.get(), "t", 100);
-  MustSql(db.get(), ctx.get(), "SELECT a FROM t WHERE a < 25");
-
+/// Checks the span tree of the latest trace, which must be `sql`'s.
+void CheckSelectSpans(Database* db, const std::string& sql) {
   std::shared_ptr<const trace::Trace> t = db->tracer()->Latest();
   ASSERT_NE(t, nullptr);
-  EXPECT_EQ(t->sql(), "SELECT a FROM t WHERE a < 25");
+  EXPECT_EQ(t->sql(), sql);
   std::map<uint32_t, trace::Span> by_id = CheckConnected(*t);
 
   // The root is the statement; parse, plan, and exec phases hang under it.
@@ -321,10 +328,10 @@ TEST(TracingEndToEnd, SerialSelectSpanTree) {
   EXPECT_EQ(CountKind(by_id, trace::SpanKind::kParse), 1);
   EXPECT_EQ(CountKind(by_id, trace::SpanKind::kPlan), 1);
   EXPECT_EQ(CountKind(by_id, trace::SpanKind::kExec), 1);
-  // Operator spans: Select(projection) -> Filter -> SeqScan, plus one
-  // aggregated bee-invocation span from the filter.
+  // Operator spans: Select(projection) or HashAggregate -> Filter ->
+  // SeqScan, plus one aggregated bee-invocation span from the filter.
   EXPECT_GE(CountKind(by_id, trace::SpanKind::kOperator), 3);
-  EXPECT_GE(CountKind(by_id, trace::SpanKind::kBee), 1);
+  EXPECT_EQ(CountKind(by_id, trace::SpanKind::kBee), 1);
 
   uint32_t exec_id = 0;
   for (const auto& [id, s] : by_id) {
@@ -335,6 +342,7 @@ TEST(TracingEndToEnd, SerialSelectSpanTree) {
       EXPECT_EQ(s.rows, 100u) << "scan span carries rows produced";
     }
     if (s.kind == trace::SpanKind::kBee) {
+      EXPECT_EQ(s.name, "evp-bee");
       EXPECT_EQ(s.parent, exec_id);
       EXPECT_EQ(s.rows, 100u);  // rows in
       EXPECT_EQ(s.aux, 25u);    // rows out
@@ -342,6 +350,51 @@ TEST(TracingEndToEnd, SerialSelectSpanTree) {
   }
   EXPECT_GT(t->RootDurationNs(), 0u);
 }
+
+/// Runs `SELECT a FROM t WHERE a < 25` and its count(*) form under `tier`
+/// and checks each statement's span tree. The Filter's evp-bee span must
+/// read exactly 100 rows in and 25 out on every tier: the plain SELECT is
+/// drained row by row (Project::Next), while count(*) drives the Filter
+/// through NextBatch whenever batching is on.
+void CheckSerialSelectSpanTree(const TierConfig& tier) {
+  ScratchDir dir;
+  std::unique_ptr<Database> db = OpenTraced(dir.path() + "/db", 1, 1, tier);
+  std::unique_ptr<ExecContext> ctx = db->MakeContext();
+  LoadInts(db.get(), ctx.get(), "t", 100);
+  // Every bee reaches its final tier first, so a native config runs the
+  // compiled EVP.
+  db->QuiesceBees();
+  for (const char* sql : {"SELECT a FROM t WHERE a < 25",
+                          "SELECT count(*) FROM t WHERE a < 25"}) {
+    SCOPED_TRACE(sql);
+    MustSql(db.get(), ctx.get(), sql);
+    CheckSelectSpans(db.get(), sql);
+  }
+}
+
+TEST(TracingEndToEnd, SerialSelectSpanTree) {
+  CheckSerialSelectSpanTree(TierConfig{});
+}
+
+/// The same span tree on the other tiers: batch64 on the program tier, and
+/// the native tier scalar and batched when a C compiler is present.
+class TracingTiers : public ::testing::TestWithParam<TierConfig> {};
+
+TEST_P(TracingTiers, SerialSelectSpanTree) {
+  if (GetParam().backend == bee::BeeBackend::kNative &&
+      !bee::NativeJit::CompilerAvailable()) {
+    GTEST_SKIP() << "no C compiler for the native tier";
+  }
+  CheckSerialSelectSpanTree(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, TracingTiers,
+    ::testing::Values(
+        TierConfig{bee::BeeBackend::kProgram, 64, "program_batch64"},
+        TierConfig{bee::BeeBackend::kNative, 0, "native_scalar"},
+        TierConfig{bee::BeeBackend::kNative, 64, "native_batch64"}),
+    ::testing::PrintToStringParamName());
 
 TEST(TracingEndToEnd, UnsampledStatementsLeaveNoTrace) {
   ScratchDir dir;
