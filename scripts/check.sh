@@ -61,14 +61,19 @@
 #      off (trace_sample_n=0, the default every figure harness runs) vs full
 #      span trees, and fails if either off path is measurably slower than
 #      its on path. Tiny scale factor, so it's fast.
-#  10. WAL & recovery gate, run unconditionally: the WAL unit suite and the
-#      kill-and-replay differential harness (fork a child per crash point,
-#      SIGKILL it mid-flush via MICROSPEC_FAILPOINT, recover, diff against
-#      a never-crashed twin of the committed prefix) under ASan/UBSan; the
-#      WAL suite plus a reduced-config differential sweep under TSan (group
-#      commit's flusher thread vs concurrent committers vs kill); then
-#      bench_wal --gate, which fails unless group commit sustains >= 5x
-#      commits/s over fsync-per-commit at 32 concurrent committers.
+#  10. WAL & recovery gate, run unconditionally: the WAL unit suite, the
+#      restart recovery suite (streamed redo, undo, the redo pin-skip, a
+#      malformed record failing Open cleanly) and the kill-and-replay
+#      differential harness (fork a child per crash point, SIGKILL it
+#      mid-flush via MICROSPEC_FAILPOINT, recover, diff against a
+#      never-crashed twin of the committed prefix) under ASan/UBSan; the WAL
+#      and recovery suites plus a reduced-config differential sweep under
+#      TSan (group commit's flusher thread vs concurrent committers vs kill,
+#      redo's evictions calling the flush hook); then bench_wal --gate, which
+#      fails unless group commit sustains >= 5x commits/s over
+#      fsync-per-commit at 32 concurrent committers, and unless a reopen's
+#      peak RSS at the longest of three log lengths (4x apart) stays within
+#      10% of the shortest's.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -211,24 +216,31 @@ MICROSPEC_REPS="${MICROSPEC_GATE_REPS:-3}" \
 
 echo "== 10/10: WAL & recovery gate =="
 # Crash recovery is exactly the code that only runs after something went
-# wrong, so it never ships without sanitizer coverage: the WAL unit suite
-# and the full kill-and-replay differential sweep under ASan/UBSan, then
-# under TSan a reduced sweep (one config per bee tier — the TSan-relevant
-# surface is flusher-vs-committer-vs-kill, not the config matrix) plus the
-# WAL suite for the commit/crash race test.
-cmake --build "$ASAN_DIR" -j "$JOBS" --target wal_test recovery_differential_test
+# wrong, so it never ships without sanitizer coverage: the WAL and recovery
+# unit suites and the full kill-and-replay differential sweep under
+# ASan/UBSan, then under TSan a reduced sweep (one config per bee tier — the
+# TSan-relevant surface is flusher-vs-committer-vs-kill, not the config
+# matrix) plus the WAL suite for the commit/crash race test and the
+# recovery suite.
+cmake --build "$ASAN_DIR" -j "$JOBS" \
+  --target wal_test recovery_test recovery_differential_test
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
   "$ASAN_DIR"/tests/wal_test
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
+  "$ASAN_DIR"/tests/recovery_test
+ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
   "$ASAN_DIR"/tests/recovery_differential_test
-cmake --build "$TSAN_DIR" -j "$JOBS" --target wal_test recovery_differential_test
+cmake --build "$TSAN_DIR" -j "$JOBS" \
+  --target wal_test recovery_test recovery_differential_test
 TSAN_OPTIONS=halt_on_error=1 "$TSAN_DIR"/tests/wal_test
+TSAN_OPTIONS=halt_on_error=1 "$TSAN_DIR"/tests/recovery_test
 MICROSPEC_DIFF_CONFIGS=off,program_batch \
 TSAN_OPTIONS=halt_on_error=1 "$TSAN_DIR"/tests/recovery_differential_test
 
-# The group-commit contract from the acceptance bar: >= 5x commits/s over
-# fsync-per-commit at 32 concurrent committers; also emits BENCH_wal.json
-# when BENCH_JSON is set.
+# Two bars: group commit >= 5x commits/s over fsync-per-commit at 32
+# concurrent committers, and restart recovery's peak RSS flat (<= 1.10x) as
+# the log grows 16x over fixed data; also emits BENCH_wal.json when
+# BENCH_JSON is set.
 "$BUILD_DIR"/bench/bench_wal --gate
 
 echo "check.sh: all gates passed"

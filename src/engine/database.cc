@@ -55,18 +55,14 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
     Wal::Options wo;
     wo.group_commit = db->options_.wal_group_commit;
     wo.stats = &db->stats_;
-    // One scan of the log serves both the torn-tail truncation and
-    // restart recovery.
-    std::vector<WalRecord> records;
     MICROSPEC_ASSIGN_OR_RETURN(
-        db->wal_, Wal::Open(db->options_.dir + "/wal.log", wo, &records));
+        db->wal_, Wal::Open(db->options_.dir + "/wal.log", wo));
     // The WAL rule: no dirty page reaches disk before the log records it
     // reflects are durable. The pool consults this hook at every writeback.
     Wal* wal = db->wal_.get();
     db->pool_->SetWalFlushHook(
         [wal](uint64_t lsn) { return wal->FlushUpTo(lsn); });
-    MICROSPEC_ASSIGN_OR_RETURN(db->last_recovery_,
-                               RunRecovery(db.get(), std::move(records)));
+    MICROSPEC_ASSIGN_OR_RETURN(db->last_recovery_, RunRecovery(db.get()));
   }
   return db;
 }

@@ -271,8 +271,7 @@ class Database {
   /// between queries — contexts hold the pool pointer for their lifetime.
   ThreadPool* Executor(int dop);
 
-  friend Result<RecoveryStats> RunRecovery(Database* db,
-                                           std::vector<WalRecord> records);
+  friend Result<RecoveryStats> RunRecovery(Database* db);
   friend Status UndoTransactionChain(Database* db, uint64_t txn_id,
                                      uint64_t last_lsn, bool fix_indexes,
                                      uint64_t* out_last_lsn,

@@ -4,7 +4,6 @@
 #include <map>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bee/log_bee.h"
@@ -248,37 +247,42 @@ Status UndoTransactionChain(Database* db, uint64_t txn_id, uint64_t last_lsn,
   return Status::OK();
 }
 
-Result<RecoveryStats> RunRecovery(Database* db,
-                                  std::vector<WalRecord> records) {
+Result<RecoveryStats> RunRecovery(Database* db) {
   RecoveryStats stats;
   Wal* wal = db->wal();
-  if (wal == nullptr || records.empty()) return stats;
-  stats.ran = true;
-  stats.records_scanned = records.size();
+  if (wal == nullptr) return stats;
 
-  // --- Analysis: transaction outcomes and each chain's head -----------------
+  // Each transaction's chain head, for open transactions only: an entry
+  // leaves at the transaction's kCommit or kAbort, so what is left after
+  // the pass is the loser set, and memory follows the open transactions
+  // rather than the log's length.
   std::unordered_map<uint64_t, uint64_t> last_lsn;
-  std::unordered_set<uint64_t> finished;
   uint64_t max_txn = 0;
-  for (const WalRecord& rec : records) {
-    if (rec.txn_id == 0) continue;
-    max_txn = std::max(max_txn, rec.txn_id);
-    if (rec.type == WalRecordType::kCommit) {
-      finished.insert(rec.txn_id);
-      ++stats.txns_committed;
-    } else if (rec.type == WalRecordType::kAbort) {
-      finished.insert(rec.txn_id);
-    } else {
-      last_lsn[rec.txn_id] = rec.start_lsn;
-    }
-  }
+  // (file id << 32 | page) -> the page's LSN when redo first pinned it. Page
+  // LSNs only grow, and after that pin only to the end-LSN of a record redo
+  // applies, so a later record ending at or below it needs no pin to be
+  // skipped.
+  std::unordered_map<uint64_t, uint64_t> first_pin_lsn;
 
-  // --- Redo: repeat history --------------------------------------------------
-  // DDL rebuilds the in-memory catalog (and the relation bees, so redo runs
-  // through freshly compiled log appliers); kBeeSection records re-grow the
-  // tuple-bee slabs in beeID order; DML/CLR records replay page mutations
-  // gated on the page LSN.
-  for (const WalRecord& rec : records) {
+  // --- One forward pass: analysis folded into redo --------------------------
+  // Redo repeats history, losers included, so it needs no outcome from
+  // analysis. DDL rebuilds the in-memory catalog (and the relation bees, so
+  // redo runs through freshly compiled log appliers); kBeeSection records
+  // re-grow the tuple-bee slabs in beeID order; DML/CLR records replay page
+  // mutations gated on the page LSN.
+  MICROSPEC_RETURN_NOT_OK(wal->Replay([&](const WalRecord& rec) -> Status {
+    ++stats.records_scanned;
+    if (rec.txn_id != 0) {
+      max_txn = std::max(max_txn, rec.txn_id);
+      if (rec.type == WalRecordType::kCommit) {
+        last_lsn.erase(rec.txn_id);
+        ++stats.txns_committed;
+      } else if (rec.type == WalRecordType::kAbort) {
+        last_lsn.erase(rec.txn_id);
+      } else {
+        last_lsn[rec.txn_id] = rec.start_lsn;
+      }
+    }
     switch (rec.type) {
       case WalRecordType::kCreateTable: {
         uint32_t id = 0;
@@ -355,9 +359,18 @@ Result<RecoveryStats> RunRecovery(Database* db,
         if (!op.ok) return Status::Corruption("recovery: malformed record");
         TableInfo* table = db->catalog()->GetTable(op.table_id);
         if (table == nullptr) break;  // relation dropped later in the log
+        const uint64_t page_key =
+            (uint64_t{table->heap()->disk_manager()->file_id()} << 32) |
+            TupleIdPage(op.tid);
+        auto known = first_pin_lsn.find(page_key);
+        if (known != first_pin_lsn.end() && rec.end_lsn <= known->second) {
+          ++stats.redo_skipped;
+          break;
+        }
         MICROSPEC_ASSIGN_OR_RETURN(
             PageGuard guard,
             PinForRedo(db, table, TupleIdPage(op.tid), &stats.pages_rebuilt));
+        first_pin_lsn.try_emplace(page_key, PageGetLsn(guard.data()));
         if (PageGetLsn(guard.data()) >= rec.end_lsn) {
           ++stats.redo_skipped;  // the page already reflects this record
           break;
@@ -373,20 +386,16 @@ Result<RecoveryStats> RunRecovery(Database* db,
       default:
         break;  // kBegin/kCommit/kAbort/kCheckpoint carry no page mutation
     }
-  }
-
-  // Undo walks its chains through Wal::ReadRecord, and the rebuild below
-  // reads the heaps: the scanned records are done with.
-  std::vector<WalRecord>().swap(records);
+    return Status::OK();
+  }));
+  if (stats.records_scanned == 0) return stats;
+  stats.ran = true;
 
   // --- Undo: roll back the losers -------------------------------------------
   // Highest txn first (reverse begin order approximates reverse LSN order;
   // exact order is immaterial here because every record mutates exactly one
   // page slot and chains never interleave on a slot without a commit).
-  std::map<uint64_t, uint64_t> losers;
-  for (const auto& [txn, lsn] : last_lsn) {
-    if (finished.count(txn) == 0) losers[txn] = lsn;
-  }
+  std::map<uint64_t, uint64_t> losers(last_lsn.begin(), last_lsn.end());
   for (auto it = losers.rbegin(); it != losers.rend(); ++it) {
     uint64_t out_last = it->second;
     MICROSPEC_RETURN_NOT_OK(UndoTransactionChain(db, it->first, it->second,

@@ -25,15 +25,17 @@ struct RecoveryStats {
   uint64_t pages_rebuilt = 0;  // torn/corrupt pages re-imaged from the log
 };
 
-/// ARIES-lite restart: scans the log (analysis), rebuilds the in-memory
-/// catalog from DDL records and the tuple-bee slabs from kBeeSection
-/// records, repeats history (redo gated on page LSNs, applied through the
-/// per-relation log bees), undoes loser transactions writing CLRs, then
-/// rebuilds tuple counts and B+tree indexes by heap scan. Called by
-/// Database::Open when wal_enabled with the records Wal::Open's scan read;
-/// the database must be freshly opened (empty catalog, clean buffer pool).
-Result<RecoveryStats> RunRecovery(Database* db,
-                                  std::vector<WalRecord> records);
+/// ARIES-lite restart. One forward pass over the log (Wal::Replay) does
+/// analysis and redo together: it tracks the open transactions, rebuilds the
+/// in-memory catalog from DDL records and the tuple-bee slabs from
+/// kBeeSection records, and repeats history (redo gated on page LSNs,
+/// applied through the per-relation log bees). It holds one record at a
+/// time, so its memory follows the open transactions, not the log's length.
+/// Then it undoes the loser transactions writing CLRs, and rebuilds tuple
+/// counts and B+tree indexes by heap scan. Called by Database::Open when
+/// wal_enabled; the database must be freshly opened (empty catalog, clean
+/// buffer pool).
+Result<RecoveryStats> RunRecovery(Database* db);
 
 /// Shared by restart undo and runtime rollback (Database::AbortTxn): walks
 /// one transaction's prev_lsn chain backwards from `last_lsn`, applying the

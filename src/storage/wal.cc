@@ -191,12 +191,15 @@ uint32_t RecordCrc(const WalRecordHeader& h, const char* payload,
   return Crc32c(payload, len, crc);
 }
 
-/// Scans [0, size) of an open log fd, appending valid records to `out`
-/// (when non-null) and returning the offset of the first invalid byte —
-/// the torn-tail truncation point. The log is read through one buffer filled
-/// by Wal::kScanChunkBytes-sized preads; a record that straddles the end of
-/// the buffer is re-read from its start with the next chunk.
-uint64_t ScanLog(int fd, uint64_t size, std::vector<WalRecord>* out) {
+/// Scans [0, size) of an open log fd, handing each valid record to `visit`
+/// (when set) and storing in `*valid_end` the offset of the first invalid
+/// byte — the torn-tail truncation point. The log is read through one buffer
+/// filled by Wal::kScanChunkBytes-sized preads; a record that straddles the
+/// end of the buffer is re-read from its start with the next chunk. One
+/// WalRecord, and its payload buffer, is reused for every record. Returns
+/// `visit`'s first error, which ends the scan.
+Status ScanLog(int fd, uint64_t size, const Wal::RecordVisitor& visit,
+               uint64_t* valid_end) {
   std::string chunk;  // bytes [chunk_off, chunk_off + chunk.size()) of the log
   uint64_t chunk_off = 0;
   // Makes [off, off + n) resident in `chunk`; false on a short read.
@@ -216,6 +219,7 @@ uint64_t ScanLog(int fd, uint64_t size, std::vector<WalRecord>* out) {
     chunk.resize(got);
     return got >= n;
   };
+  WalRecord rec;
   uint64_t off = 0;
   while (off + sizeof(WalRecordHeader) <= size) {
     WalRecordHeader h;
@@ -230,26 +234,29 @@ uint64_t ScanLog(int fd, uint64_t size, std::vector<WalRecord>* out) {
     if (!load(off, sizeof(h) + h.len)) break;
     const char* payload = chunk.data() + (off - chunk_off) + sizeof(h);
     if (RecordCrc(h, payload, h.len) != h.crc) break;
-    if (out != nullptr) {
-      WalRecord rec;
+    if (visit) {
       rec.start_lsn = off + 1;
       rec.end_lsn = off + sizeof(h) + h.len;
       rec.txn_id = h.txn_id;
       rec.prev_lsn = h.prev_lsn;
       rec.type = static_cast<WalRecordType>(h.type);
       rec.payload.assign(payload, h.len);
-      out->push_back(std::move(rec));
+      Status st = visit(rec);
+      if (!st.ok()) {
+        *valid_end = off;
+        return st;
+      }
     }
     off += sizeof(h) + h.len;
   }
-  return off;
+  *valid_end = off;
+  return Status::OK();
 }
 
 }  // namespace
 
 Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
-                                       const Options& options,
-                                       std::vector<WalRecord>* records) {
+                                       const Options& options) {
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
   if (fd < 0) {
     return Status::IoError("open " + path + ": " + std::strerror(errno));
@@ -259,7 +266,8 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
     ::close(fd);
     return Status::IoError("lseek " + path + ": " + std::strerror(errno));
   }
-  uint64_t valid_end = ScanLog(fd, static_cast<uint64_t>(size), records);
+  uint64_t valid_end = 0;
+  (void)ScanLog(fd, static_cast<uint64_t>(size), nullptr, &valid_end);
   if (valid_end != static_cast<uint64_t>(size)) {
     // Torn tail from a crash mid-pwrite: truncate so the next flush appends
     // over clean ground and a re-scan sees only whole records.
@@ -509,9 +517,27 @@ Result<std::vector<WalRecord>> Wal::ReadAll(const std::string& path) {
     return Status::IoError("lseek " + path + ": " + std::strerror(errno));
   }
   std::vector<WalRecord> records;
-  (void)ScanLog(fd, static_cast<uint64_t>(size), &records);
+  uint64_t valid_end = 0;
+  (void)ScanLog(fd, static_cast<uint64_t>(size),
+                [&records](const WalRecord& rec) {
+                  records.push_back(rec);
+                  return Status::OK();
+                },
+                &valid_end);
   ::close(fd);
   return records;
+}
+
+Status Wal::Replay(const RecordVisitor& visit) const {
+  const uint64_t end = durable_offset();
+  uint64_t valid_end = 0;
+  MICROSPEC_RETURN_NOT_OK(ScanLog(fd_, end, visit, &valid_end));
+  if (valid_end != end) {
+    return Status::Corruption("wal: durable record at offset " +
+                              std::to_string(valid_end) +
+                              " no longer reads back");
+  }
+  return Status::OK();
 }
 
 void Wal::SimulateCrashForTests() {

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -158,8 +159,15 @@ class Wal {
   /// page-sized images plus fixed fields).
   static constexpr uint32_t kMaxPayload = 4 * kPageSize;
 
-  /// Open and ReadAll read the log sequentially in preads of this size.
+  /// Open, Replay and ReadAll read the log sequentially in preads of this
+  /// size, so a scan holds one chunk and one record at a time, whatever the
+  /// log's length.
   static constexpr size_t kScanChunkBytes = size_t{1} << 20;
+
+  /// Called once per valid record, in log order. The record (and its
+  /// payload buffer) is reused for the next one, so a visitor that keeps a
+  /// record copies it. A non-OK status stops the scan and is returned.
+  using RecordVisitor = std::function<Status(const WalRecord&)>;
 
   struct Options {
     bool group_commit = true;
@@ -168,13 +176,10 @@ class Wal {
   };
 
   /// Opens (creating if necessary) the log at `path`, scans it validating
-  /// record CRCs, truncates any torn tail, and starts the flusher. When
-  /// `records` is non-null the same scan also returns every valid record
-  /// (what ReadAll would read after the truncation), so restart recovery
-  /// reads the log once.
-  static Result<std::unique_ptr<Wal>> Open(
-      const std::string& path, const Options& options,
-      std::vector<WalRecord>* records = nullptr);
+  /// record CRCs, truncates any torn tail, and starts the flusher. The scan
+  /// keeps no records; restart recovery reads them with Replay.
+  static Result<std::unique_ptr<Wal>> Open(const std::string& path,
+                                           const Options& options);
   ~Wal();
   MICROSPEC_DISALLOW_COPY_AND_MOVE(Wal);
 
@@ -201,9 +206,17 @@ class Wal {
   /// to walk prev_lsn chains.
   Result<WalRecord> ReadRecord(uint64_t start_lsn);
 
-  /// Reads every valid record from a closed log file, stopping cleanly at
-  /// the first torn/short/corrupt record. For tests and tools; restart
-  /// recovery takes its records from Open's scan.
+  /// Streams every record in [0, durable_offset()) through `visit`, in one
+  /// forward pass over the file. Those bytes are never rewritten, so Replay
+  /// needs no lock and may run while records are appended and flushed
+  /// (restart redo's evictions call FlushUpTo). Returns Corruption if the
+  /// durable prefix no longer reads back whole, or `visit`'s first error.
+  Status Replay(const RecordVisitor& visit) const;
+
+  /// Reads every valid record from a closed log file into one vector,
+  /// stopping cleanly at the first torn/short/corrupt record. For tests and
+  /// tools only: its memory grows with the log; restart recovery streams
+  /// through Replay instead.
   static Result<std::vector<WalRecord>> ReadAll(const std::string& path);
 
   /// Drops the pending buffer and suppresses the destructor's final flush:

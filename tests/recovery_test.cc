@@ -239,6 +239,125 @@ TEST_F(RecoveryTest, DroppedTableStaysDropped) {
   EXPECT_NE(db->catalog()->GetTable("kept"), nullptr);
 }
 
+TEST_F(RecoveryTest, StreamedRestartCountsMatchTheLog) {
+  constexpr int kCommitted = 12;
+  constexpr int kRowsPerTxn = 3;
+  ASSERT_OK_AND_ASSIGN(auto db, Database::Open(WalOptions(dir_.path())));
+  ASSERT_OK_AND_ASSIGN(TableInfo * table, db->CreateTable("kv", KvSchema()));
+  auto ctx = db->MakeContext();
+  for (int t = 0; t < kCommitted; ++t) {
+    ASSERT_OK_AND_ASSIGN(WalTxn txn, db->BeginTxn());
+    for (int j = 0; j < kRowsPerTxn; ++j) {
+      ASSERT_OK(Put(db.get(), ctx.get(), table, t * kRowsPerTxn + j, "c",
+                    &txn)
+                    .status());
+    }
+    ASSERT_OK(db->CommitTxn(&txn));
+  }
+  std::vector<std::string> committed = SortedRows(db.get(), table);
+  ASSERT_OK_AND_ASSIGN(WalTxn loser, db->BeginTxn());
+  for (int i = 1000; i < 1004; ++i) {
+    ASSERT_OK(Put(db.get(), ctx.get(), table, i, "open", &loser).status());
+  }
+  ASSERT_OK(db->wal()->Flush());
+  db->SimulateCrashForTests();
+  ctx.reset();
+  db.reset();
+
+  ASSERT_OK_AND_ASSIGN(std::vector<WalRecord> records,
+                       Wal::ReadAll(dir_.path() + "/wal.log"));
+  uint64_t page_records = 0;
+  for (const WalRecord& rec : records) {
+    switch (rec.type) {
+      case WalRecordType::kInsert:
+      case WalRecordType::kDelete:
+      case WalRecordType::kUpdate:
+      case WalRecordType::kClr:
+        ++page_records;
+        break;
+      default:
+        break;
+    }
+  }
+  ASSERT_EQ(page_records,
+            uint64_t{kCommitted * kRowsPerTxn} + 4);  // no CLR yet
+
+  ASSERT_OK_AND_ASSIGN(db, Database::Open(WalOptions(dir_.path())));
+  const RecoveryStats& rec = db->last_recovery();
+  EXPECT_TRUE(rec.ran);
+  EXPECT_EQ(rec.records_scanned, records.size());
+  EXPECT_EQ(rec.txns_committed, uint64_t{kCommitted});
+  EXPECT_EQ(rec.txns_undone, 1u);
+  EXPECT_EQ(rec.redo_applied + rec.redo_skipped, page_records);
+  table = db->catalog()->GetTable("kv");
+  ASSERT_NE(table, nullptr);
+  EXPECT_EQ(SortedRows(db.get(), table), committed);
+}
+
+TEST_F(RecoveryTest, MalformedRecordFailsOpenCleanly) {
+  {
+    ASSERT_OK_AND_ASSIGN(auto db, Database::Open(WalOptions(dir_.path())));
+    ASSERT_OK_AND_ASSIGN(TableInfo * table,
+                         db->CreateTable("kv", KvSchema()));
+    auto ctx = db->MakeContext();
+    ASSERT_OK(Put(db.get(), ctx.get(), table, 1, "before").status());
+    // CRC-valid framing around a payload DecodeTupleOp rejects.
+    db->wal()->Append(WalRecordType::kInsert, 1u << 20, 0, "xyz");
+    ASSERT_OK(Put(db.get(), ctx.get(), table, 2, "after").status());
+    db->SimulateCrashForTests();
+  }
+  ASSERT_OK_AND_ASSIGN(std::vector<WalRecord> records,
+                       Wal::ReadAll(dir_.path() + "/wal.log"));
+  ASSERT_TRUE(std::any_of(records.begin(), records.end(),
+                          [](const WalRecord& r) { return r.payload == "xyz"; }))
+      << "the malformed record must be durable for this test to mean much";
+
+  auto reopened = Database::Open(WalOptions(dir_.path()));
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption)
+      << reopened.status().ToString();
+}
+
+/// Redo skips a record without pinning when the page it names already read
+/// a later LSN at its first pin. The page is named by its file as well as
+/// its number: page 0 of `a` written back late must not hide records for
+/// page 0 of `b`.
+TEST_F(RecoveryTest, RedoSkipIsPerFilePage) {
+  ASSERT_OK_AND_ASSIGN(auto db, Database::Open(WalOptions(dir_.path())));
+  ASSERT_OK_AND_ASSIGN(TableInfo * a, db->CreateTable("a", KvSchema()));
+  ASSERT_OK_AND_ASSIGN(TableInfo * b, db->CreateTable("b", KvSchema()));
+  auto ctx = db->MakeContext();
+  ASSERT_OK_AND_ASSIGN(TupleId a1, Put(db.get(), ctx.get(), a, 1, "a1"));
+  ASSERT_OK_AND_ASSIGN(TupleId b1, Put(db.get(), ctx.get(), b, 1, "b1"));
+  ASSERT_OK_AND_ASSIGN(TupleId a2, Put(db.get(), ctx.get(), a, 2, "a2"));
+  ASSERT_EQ(TupleIdPage(a1), 0u);
+  ASSERT_EQ(TupleIdPage(b1), 0u);
+  ASSERT_EQ(TupleIdPage(a2), 0u);
+  // An eviction of a's page alone: the WAL rule first, then the page image
+  // stamped with a2's LSN. b's page never reaches disk.
+  ASSERT_OK(db->wal()->Flush());
+  {
+    DiskManager* dm = a->heap()->disk_manager();
+    ASSERT_OK_AND_ASSIGN(PageGuard page, db->buffer_pool()->Pin(dm->file_id(),
+                                                                0));
+    std::vector<char> image(page.data(), page.data() + kPageSize);
+    ASSERT_OK(dm->WritePage(0, image.data()));
+  }
+  db->SimulateCrashForTests();
+  ctx.reset();
+  db.reset();
+
+  ASSERT_OK_AND_ASSIGN(db, Database::Open(WalOptions(dir_.path())));
+  EXPECT_EQ(db->last_recovery().redo_applied, 1u);  // b1
+  EXPECT_EQ(db->last_recovery().redo_skipped, 2u);  // a1, a2
+  a = db->catalog()->GetTable("a");
+  b = db->catalog()->GetTable("b");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(SortedRows(db.get(), a).size(), 2u);
+  EXPECT_EQ(SortedRows(db.get(), b).size(), 1u);
+}
+
 /// Satellite: the post-recovery bee state must be indistinguishable from a
 /// twin database that executed the same committed workload and never
 /// crashed — same tuple-bee section count, same slab bytes, same spec
